@@ -4,7 +4,13 @@ Declarations are read from a spec file given with -f/--file; standalone
 commands (pfull, symdiff-check) need no file.  Every subcommand accepts
 --json for a stable machine-readable schema in which exact rationals are
 strings "a/b".  Exit codes: 0 success, 1 domain errors (unknown names,
-precondition violations), 2 parse errors.
+precondition violations) and internal arithmetic failures, 2 parse errors.
+
+Every command is one row of COMMANDS.  Its handler only computes and returns
+(shown, extra, lines): ``shown`` fields form the text line and also go into
+the JSON, ``extra`` fields go into the JSON only (overriding a shown field of
+the same name), and ``lines`` are further text lines.  ``main`` renders both
+forms from that one result.
 """
 
 from __future__ import annotations
@@ -13,322 +19,155 @@ import argparse
 import json
 import os
 import sys
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
 from . import curveclass, curverestrict, fibration, mordell, planepairs, symdiff
-from .orbcore import DomainError, OrbifoldDivisor
-from .specparse import Diagnostic, SpecDocument, parse
+from .curveclass import Kappa
+from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
+from .specparse import ParseResult, SpecDocument, parse
 
 _SYMDIFF_LIMIT_ENV = "ORBPAIRS_SYMDIFF_LIMIT"
 
-
-class _ParseFailure(Exception):
-    def __init__(self, path: str, diagnostics: list[Diagnostic]) -> None:
-        self.path = path
-        self.diagnostics = diagnostics
+Result = tuple[dict, dict, list]
 
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
-
-
-def _divisor_json(d: OrbifoldDivisor) -> dict[str, str]:
-    return {label: str(mult) for label, mult in d.items()}
-
-
-def _load_document(args: argparse.Namespace) -> SpecDocument:
-    if not getattr(args, "file", None):
+def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
+    if not file:
         raise DomainError("this command needs a spec file; pass -f/--file")
-    path = Path(args.file)
+    path = Path(file)
     try:
         source = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}")
-    result = parse(source)
-    for diag in result.diagnostics:
-        if diag.severity != "error":
-            print(f"{path}:{diag}", file=sys.stderr)
-    if not result.ok:
-        raise _ParseFailure(str(path), result.diagnostics)
-    return result.document
+    return path, parse(source)
 
 
-def _named(table: dict, name: str, kind: str):
+def _named(doc: SpecDocument, kind: str, name: str):
+    table = getattr(doc, kind + "s")
     if name not in table:
         known = ", ".join(sorted(table)) or "none"
         raise DomainError(f"unknown {kind} {name!r} (declared: {known})")
     return table[name]
 
 
-def _emit(args: argparse.Namespace, text: str, payload: dict) -> None:
-    if args.json:
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(text)
-
-
-def cmd_classify(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    curve = _named(doc.curves, args.name, "curve")
-    degree = curveclass.canonical_degree(curve)
-    kappa = curveclass.kappa_curve(curve)
-    special = curveclass.is_special_curve(curve)
-    _emit(
-        args,
-        f"kappa={kappa} degree={degree} special={_bool(special)}",
-        {
-            "command": "classify",
-            "name": args.name,
-            "kappa": str(kappa),
-            "degree": str(degree),
-            "special": special,
-        },
-    )
-    return 0
-
-
-def cmd_fano(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    decl = _named(doc.planes, args.name, "plane")
-    degree = planepairs.anticanonical_degree(decl.pair)
-    fano = planepairs.is_fano(decl.pair)
-    _emit(
-        args,
-        f"degree={degree} fano={_bool(fano)}",
-        {
-            "command": "fano",
-            "name": args.name,
-            "degree": str(degree),
-            "fano": fano,
-        },
-    )
-    return 0
-
-
-def cmd_familydim(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    decl = _named(doc.planes, args.name, "plane")
-    report = planepairs.family_dim_report(decl.pair, args.degree)
-    text = (
-        f"parameters={report.parameters} conditions={report.conditions} "
-        f"dimension={report.dimension} identity={report.identity_value}"
-    )
-    if report.note:
-        text += f"\nnote: {report.note}"
-    _emit(
-        args,
-        text,
-        {
-            "command": "familydim",
-            "name": args.name,
-            "degree": report.degree,
-            "parameters": report.parameters,
-            "conditions": report.conditions,
-            "dimension": report.dimension,
-            "identity": report.identity_value,
-            "note": report.note,
-        },
-    )
-    return 0
-
-
-def cmd_base(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    fd = _named(doc.fibrations, args.name, "fibration")
-    base = fibration.orbifold_base(fd, args.mode)
-    _emit(
-        args,
-        f"mode={args.mode} base={base}",
-        {
-            "command": "base",
-            "name": args.name,
-            "mode": args.mode,
-            "base": _divisor_json(base),
-        },
-    )
-    return 0
-
-
-def cmd_compose(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    decl = _named(doc.twostages, args.name, "twostage")
-    direct, staged = fibration.compose_base(decl.data)
-    _emit(
-        args,
-        f"direct={direct} staged={staged} equal={_bool(direct == staged)}",
-        {
-            "command": "compose",
-            "name": args.name,
-            "direct": _divisor_json(direct),
-            "staged": _divisor_json(staged),
-            "equal": direct == staged,
-        },
-    )
-    return 0
-
-
-def cmd_morphism(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    md = _named(doc.morphisms, args.name, "morphism")
-    report = fibration.check_orbifold_morphism(md, args.mode)
-    lines = [f"mode={report.mode} ok={_bool(report.ok)}"]
-    for c in report.checks:
-        lines.append(
-            f"pair y={c.y_label} x={c.x_label} t={c.t} "
-            f"scaled={c.scaled} required={c.m_y} ok={_bool(c.ok)}"
-        )
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "command": "morphism",
-            "name": args.name,
-            "mode": report.mode,
-            "ok": report.ok,
-            "pairs": [
-                {
-                    "y": c.y_label,
-                    "x": c.x_label,
-                    "t": c.t,
-                    "m_x": str(c.m_x),
-                    "m_y": str(c.m_y),
-                    "scaled": str(c.scaled),
-                    "ok": c.ok,
-                }
-                for c in report.checks
-            ],
-        },
-    )
-    return 0
-
-
-def _restriction(args: argparse.Namespace):
-    doc = _load_document(args)
-    curve = _named(doc.paramcurves, args.name, "paramcurve")
-    decl = _named(doc.planes, args.against, "plane")
-    arrangement = decl.divisor_components()
-    restricted = curverestrict.restrict(curve, arrangement, args.variant)
-    return restricted
-
-
-def cmd_restrict(args: argparse.Namespace) -> int:
-    restricted = _restriction(args)
-    degree = curveclass.canonical_degree(restricted)
-    kappa = curveclass.kappa_curve(restricted)
-    rational = curveclass.is_rational_orbifold_curve(restricted)
-    _emit(
-        args,
-        f"variant={args.variant} marks={restricted.marks} degree={degree} "
-        f"kappa={kappa} rational={_bool(rational)}",
-        {
-            "command": "restrict",
-            "name": args.name,
-            "against": args.against,
-            "variant": args.variant,
-            "genus": restricted.genus,
-            "marks": _divisor_json(restricted.marks),
-            "degree": str(degree),
-            "kappa": str(kappa),
-            "rational": rational,
-        },
-    )
-    return 0
-
-
-def cmd_rational(args: argparse.Namespace) -> int:
-    restricted = _restriction(args)
-    rational = curveclass.is_rational_orbifold_curve(restricted)
-    _emit(
-        args,
-        f"variant={args.variant} rational={_bool(rational)}",
-        {
-            "command": "rational",
-            "name": args.name,
-            "against": args.against,
-            "variant": args.variant,
-            "rational": rational,
-        },
-    )
-    return 0
-
-
-def cmd_mordell_search(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    triple = _named(doc.mordells, args.name, "mordell")
-    points = mordell.search_points(triple, args.max_a, args.max_b, args.sign)
-    lines = [f"count={len(points)}"]
-    records = []
-    for pt in points:
-        c = abs(pt.a - pt.b) if args.sign == "minus" else pt.a + pt.b
-        lines.append(f"a={pt.a} b={pt.b} c={c}")
-        records.append({"a": pt.a, "b": pt.b, "c": c})
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "command": "mordell-search",
-            "name": args.name,
-            "p": triple.p,
-            "q": triple.q,
-            "r": triple.r,
-            "sign": args.sign,
-            "max_a": args.max_a,
-            "max_b": args.max_b,
-            "count": len(points),
-            "points": records,
-        },
-    )
-    return 0
-
-
-def cmd_mordell_classical(args: argparse.Namespace) -> int:
-    doc = _load_document(args)
-    triple = _named(doc.mordells, args.name, "mordell")
-    witnesses = mordell.search_classical(triple, args.max, args.max)
-    lines = [f"count={len(witnesses)}"]
-    for w in witnesses:
-        lines.append(f"alpha={w.alpha} beta={w.beta} gamma={w.gamma}")
-    _emit(
-        args,
-        "\n".join(lines),
-        {
-            "command": "mordell-classical",
-            "name": args.name,
-            "p": triple.p,
-            "q": triple.q,
-            "r": triple.r,
-            "max": args.max,
-            "count": len(witnesses),
-            "witnesses": [
-                {"alpha": w.alpha, "beta": w.beta, "gamma": w.gamma} for w in witnesses
-            ],
-        },
-    )
-    return 0
-
-
-def cmd_pfull(args: argparse.Namespace) -> int:
-    values = mordell.enumerate_p_full(args.limit, args.p)
-    payload: dict = {
-        "command": "pfull",
-        "p": args.p,
-        "limit": args.limit,
-        "count": len(values),
-        "values": values,
+def cmd_classify(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    curve = _named(doc, "curve", args.name)
+    shown = {
+        "kappa": curveclass.kappa_curve(curve),
+        "degree": curveclass.canonical_degree(curve),
+        "special": curveclass.is_special_curve(curve),
     }
-    text = f"count={len(values)}"
+    return shown, {"name": args.name}, []
+
+
+def cmd_fano(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    pair = _named(doc, "plane", args.name).pair
+    shown = {"degree": planepairs.anticanonical_degree(pair), "fano": planepairs.is_fano(pair)}
+    return shown, {"name": args.name}, []
+
+
+def cmd_familydim(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    report = planepairs.family_dim_report(_named(doc, "plane", args.name).pair, args.degree)
+    shown = {
+        "parameters": report.parameters,
+        "conditions": report.conditions,
+        "dimension": report.dimension,
+        "identity": report.identity_value,
+    }
+    extra = {"name": args.name, "degree": report.degree, "note": report.note}
+    return shown, extra, [f"note: {report.note}"] if report.note else []
+
+
+def cmd_base(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    base = fibration.orbifold_base(_named(doc, "fibration", args.name), args.mode)
+    return {"mode": args.mode, "base": base}, {"name": args.name}, []
+
+
+def cmd_compose(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    direct, staged = fibration.compose_base(_named(doc, "twostage", args.name).data)
+    shown = {"direct": direct, "staged": staged, "equal": direct == staged}
+    return shown, {"name": args.name}, []
+
+
+def cmd_morphism(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    report = fibration.check_orbifold_morphism(_named(doc, "morphism", args.name), args.mode)
+    lines = [
+        "pair " + _line({"y": c.y_label, "x": c.x_label, "t": c.t,
+                         "scaled": c.scaled, "required": c.m_y, "ok": c.ok})
+        for c in report.checks
+    ]
+    pairs = [
+        {"y": c.y_label, "x": c.x_label, "t": c.t,
+         "m_x": c.m_x, "m_y": c.m_y, "scaled": c.scaled, "ok": c.ok}
+        for c in report.checks
+    ]
+    return {"mode": report.mode, "ok": report.ok}, {"name": args.name, "pairs": pairs}, lines
+
+
+def _restriction(args: argparse.Namespace, doc: SpecDocument) -> curveclass.CurveOrbifold:
+    curve = _named(doc, "paramcurve", args.name)
+    arrangement = _named(doc, "plane", args.against).divisor_components()
+    return curverestrict.restrict(curve, arrangement, args.variant)
+
+
+def cmd_restrict(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    restricted = _restriction(args, doc)
+    shown = {
+        "variant": args.variant,
+        "marks": restricted.marks,
+        "degree": curveclass.canonical_degree(restricted),
+        "kappa": curveclass.kappa_curve(restricted),
+        "rational": curveclass.is_rational_orbifold_curve(restricted),
+    }
+    return shown, {"name": args.name, "against": args.against, "genus": restricted.genus}, []
+
+
+def cmd_rational(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    rational = curveclass.is_rational_orbifold_curve(_restriction(args, doc))
+    shown = {"variant": args.variant, "rational": rational}
+    return shown, {"name": args.name, "against": args.against}, []
+
+
+def cmd_mordell_search(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    triple = _named(doc, "mordell", args.name)
+    points = [
+        {"a": pt.a, "b": pt.b, "c": abs(pt.a - pt.b) if args.sign == "minus" else pt.a + pt.b}
+        for pt in mordell.search_points(triple, args.max_a, args.max_b, args.sign)
+    ]
+    extra = {
+        "name": args.name, "p": triple.p, "q": triple.q, "r": triple.r, "sign": args.sign,
+        "max_a": args.max_a, "max_b": args.max_b, "points": points,
+    }
+    return {"count": len(points)}, extra, [_line(pt) for pt in points]
+
+
+def cmd_mordell_classical(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    triple = _named(doc, "mordell", args.name)
+    witnesses = [
+        {"alpha": w.alpha, "beta": w.beta, "gamma": w.gamma}
+        for w in mordell.search_classical(triple, args.max, args.max)
+    ]
+    extra = {
+        "name": args.name, "p": triple.p, "q": triple.q, "r": triple.r,
+        "max": args.max, "witnesses": witnesses,
+    }
+    return {"count": len(witnesses)}, extra, [_line(w) for w in witnesses]
+
+
+def cmd_pfull(args: argparse.Namespace, doc: None) -> Result:
+    values = mordell.enumerate_p_full(args.limit, args.p)
+    shown: dict = {"count": len(values)}
+    extra: dict = {"p": args.p, "limit": args.limit, "values": values}
     if args.density:
         report = mordell.density_report(args.limit, args.p)
-        text += f" ratio={report.ratio:.6f} slope={report.slope:.6f}"
-        payload["ratio"] = f"{report.ratio:.6f}"
-        payload["slope"] = f"{report.slope:.6f}"
-        payload["checkpoints"] = [list(cp) for cp in report.checkpoints]
-    _emit(args, text, payload)
-    return 0
+        shown.update(ratio=f"{report.ratio:.6f}", slope=f"{report.slope:.6f}")
+        extra["checkpoints"] = report.checkpoints
+    return shown, extra, []
 
 
-def cmd_symdiff_check(args: argparse.Namespace) -> int:
+def cmd_symdiff_check(args: argparse.Namespace, doc: None) -> Result:
     mults = []
     for part in args.mults.split(","):
         part = part.strip()
@@ -342,28 +181,63 @@ def cmd_symdiff_check(args: argparse.Namespace) -> int:
             raise DomainError(f"{_SYMDIFF_LIMIT_ENV} must be an integer, got {env!r}")
         limit = int(env)
     report = symdiff.check_positive_floor(args.p, args.q, mults, extra=args.extra, limit=limit)
-    text = (
-        f"threshold={report.threshold} n_values={','.join(map(str, report.n_values))} "
-        f"checked={report.checked} counterexamples={len(report.counterexamples)}"
-    )
-    _emit(
-        args,
-        text,
-        {
-            "command": "symdiff-check",
-            "p": args.p,
-            "q": args.q,
-            "mults": mults,
-            "threshold": report.threshold,
-            "n_values": list(report.n_values),
-            "checked": report.checked,
-            "counterexamples": [
-                {"n": n, "subsets": [list(s) for s in j.subsets]}
-                for n, j in report.counterexamples
-            ],
-        },
-    )
-    return 0
+    shown = {
+        "threshold": report.threshold,
+        "n_values": report.n_values,
+        "checked": report.checked,
+        "counterexamples": len(report.counterexamples),
+    }
+    counterexamples = [{"n": n, "subsets": j.subsets} for n, j in report.counterexamples]
+    extra = {"p": args.p, "q": args.q, "mults": mults, "counterexamples": counterexamples}
+    return shown, extra, []
+
+
+def _arg(*flags: str, **options) -> tuple[tuple[str, ...], dict]:
+    return flags, options
+
+
+_NAME = _arg("name")
+_RESTRICTION = [
+    _NAME,
+    _arg("--against", required=True, metavar="PLANE"),
+    _arg("--variant", choices=("Z", "Q"), default="Z"),
+]
+
+# (name, handler, help, arguments); a command with a "name" argument reads
+# the spec file and looks that declaration up.
+COMMANDS = [
+    ("classify", cmd_classify, "kappa, degree and specialness of a curve orbifold", [_NAME]),
+    ("fano", cmd_fano, "anticanonical degree and Fano test of a plane pair", [_NAME]),
+    ("familydim", cmd_familydim, "expected rational-curve family dimension",
+     [_NAME, _arg("--degree", type=int, required=True)]),
+    ("base", cmd_base, "orbifold base of a fibration",
+     [_NAME, _arg("--mode", choices=("inf", "gcd"), default="inf")]),
+    ("compose", cmd_compose, "composition rule for a two-stage fibration", [_NAME]),
+    ("morphism", cmd_morphism, "orbifold-morphism conditions for listed pairs",
+     [_NAME, _arg("--mode", choices=("inf", "classical"), default="inf")]),
+    ("restrict", cmd_restrict, "restrict a plane arrangement to a parametrized curve",
+     _RESTRICTION),
+    ("rational", cmd_rational, "is the parametrized curve orbifold-rational?", _RESTRICTION),
+    ("mordell-search", cmd_mordell_search, "non-classical point search", [
+        _NAME,
+        _arg("--max-a", type=int, required=True),
+        _arg("--max-b", type=int, required=True),
+        _arg("--sign", choices=("minus", "plus"), default="minus"),
+    ]),
+    ("mordell-classical", cmd_mordell_classical, "classical witness search",
+     [_NAME, _arg("--max", type=int, required=True)]),
+    ("pfull", cmd_pfull, "enumerate p-full integers", [
+        _arg("--p", type=int, required=True),
+        _arg("--limit", type=int, required=True),
+        _arg("--density", action="store_true"),
+    ]),
+    ("symdiff-check", cmd_symdiff_check, "exhaustive positive-floor verification", [
+        _arg("--p", type=int, required=True),
+        _arg("--q", type=int, required=True),
+        _arg("--mults", required=True, help="comma-separated multiplicities"),
+        _arg("--extra", type=int, default=1, help="values of N past the threshold"),
+    ]),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,80 +247,56 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("-f", "--file", help="spec file with named declarations")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    for name, handler, help_text, arguments in COMMANDS:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true", help="emit a stable JSON object")
+        for flags, options in arguments:
+            p.add_argument(*flags, **options)
         p.set_defaults(handler=handler)
-        return p
-
-    p = add("classify", cmd_classify, "kappa, degree and specialness of a curve orbifold")
-    p.add_argument("name")
-
-    p = add("fano", cmd_fano, "anticanonical degree and Fano test of a plane pair")
-    p.add_argument("name")
-
-    p = add("familydim", cmd_familydim, "expected rational-curve family dimension")
-    p.add_argument("name")
-    p.add_argument("--degree", type=int, required=True)
-
-    p = add("base", cmd_base, "orbifold base of a fibration")
-    p.add_argument("name")
-    p.add_argument("--mode", choices=("inf", "gcd"), default="inf")
-
-    p = add("compose", cmd_compose, "composition rule for a two-stage fibration")
-    p.add_argument("name")
-
-    p = add("morphism", cmd_morphism, "orbifold-morphism conditions for listed pairs")
-    p.add_argument("name")
-    p.add_argument("--mode", choices=("inf", "classical"), default="inf")
-
-    p = add("restrict", cmd_restrict, "restrict a plane arrangement to a parametrized curve")
-    p.add_argument("name")
-    p.add_argument("--against", required=True, metavar="PLANE")
-    p.add_argument("--variant", choices=("Z", "Q"), default="Z")
-
-    p = add("rational", cmd_rational, "is the parametrized curve orbifold-rational?")
-    p.add_argument("name")
-    p.add_argument("--against", required=True, metavar="PLANE")
-    p.add_argument("--variant", choices=("Z", "Q"), default="Z")
-
-    p = add("mordell-search", cmd_mordell_search, "non-classical point search")
-    p.add_argument("name")
-    p.add_argument("--max-a", type=int, required=True)
-    p.add_argument("--max-b", type=int, required=True)
-    p.add_argument("--sign", choices=("minus", "plus"), default="minus")
-
-    p = add("mordell-classical", cmd_mordell_classical, "classical witness search")
-    p.add_argument("name")
-    p.add_argument("--max", type=int, required=True)
-
-    p = add("pfull", cmd_pfull, "enumerate p-full integers")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--density", action="store_true")
-
-    p = add("symdiff-check", cmd_symdiff_check, "exhaustive positive-floor verification")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--mults", required=True, help="comma-separated multiplicities")
-    p.add_argument("--extra", type=int, default=1, help="values of N past the threshold")
-
     return parser
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        return ",".join(map(str, value))
+    return str(value)
+
+
+def _line(fields: dict) -> str:
+    return " ".join(f"{key}={_text(value)}" for key, value in fields.items())
+
+
+def _json_value(value):
+    if isinstance(value, OrbifoldDivisor):
+        return {label: str(mult) for label, mult in value.items()}
+    if isinstance(value, (Fraction, Multiplicity, Kappa)):
+        return str(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except _ParseFailure as failure:
-        for diag in failure.diagnostics:
-            print(f"{failure.path}:{diag}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
+        doc = None
+        if "name" in args:  # the command works on a declaration from the spec file
+            path, result = _parse_spec(args.file)
+            for diag in result.diagnostics:
+                print(f"{path}:{diag}", file=sys.stderr)
+            if not result.ok:
+                return 2
+            doc = result.document
+        shown, extra, lines = args.handler(args, doc)
+    except (DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        payload = {"command": args.command, **shown, **extra}
+        print(json.dumps(payload, sort_keys=True, default=_json_value))
+    else:
+        print("\n".join([_line(shown), *lines]))
+    return 0
 
 
 if __name__ == "__main__":

@@ -189,17 +189,11 @@ def restrict_rational(
     mults = {comp.label: comp.multiplicity for comp in arrangement}
     entries: list[tuple[str, Multiplicity]] = []
     for record in contact_orders(curve, arrangement):
-        best: Multiplicity | None = None
-        for label, t in record.contacts:
-            m = mults[label]
-            if m.is_infinite:
-                candidate = INFINITY
-            else:
-                value = m.finite_value() / t
-                candidate = Multiplicity(max(Fraction(1), value))
-            if best is None or candidate > best:
-                best = candidate
-        assert best is not None
+        best = max(
+            INFINITY if mults[label].is_infinite
+            else Multiplicity(max(Fraction(1), mults[label].finite_value() / t))
+            for label, t in record.contacts
+        )
         if best.is_one:
             continue
         for label in _point_labels(record):

@@ -20,6 +20,10 @@ class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 
 
+class SelfCheckError(ArithmeticError):
+    """A built-in mathematical self-check failed: a defect, not a bad input."""
+
+
 MultiplicityLike = Union["Multiplicity", int, Fraction]
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
-from .orbcore import DomainError, Multiplicity, MultiplicityLike, as_multiplicity
+from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
 
 
 @dataclass(frozen=True)
@@ -150,7 +150,8 @@ def family_dim_report(pair: PlaneArrangementPair, degree: int) -> FamilyDimRepor
     conditions = sum(degree - degree // m for m in mults)
     dimension = parameters - conditions
     rhs = degree * anticanonical_degree(pair) - 1
-    assert Fraction(dimension) == rhs
+    if Fraction(dimension) != rhs:
+        raise SelfCheckError(f"family dimension {dimension} != degree * anticanonical - 1 = {rhs}")
     note = None
     if sorted(mults) == [3, 3, 5, 7] and degree % 105 == 0:
         n = degree // 105

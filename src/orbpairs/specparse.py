@@ -27,6 +27,11 @@ from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
 from .planepairs import PlaneArrangementPair
 from .polynomials import HomogeneousPoly2, HomogeneousPoly3, render_poly2, render_poly3
 
+# Parenthesised polynomial sub-expressions nest at most this deep; each level
+# costs a few Python frames, so deeper input is reported as a parse error
+# instead of exhausting the interpreter's recursion limit.
+_MAX_PAREN_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # tokens and diagnostics
@@ -211,6 +216,7 @@ class _Parser:
         self.diagnostics = diagnostics
         self.document = SpecDocument()
         self.pending_twostages: list[tuple[str, str, dict, Token]] = []
+        self.paren_depth = 0
 
     # -- token plumbing
 
@@ -299,6 +305,7 @@ class _Parser:
     # -- polynomial expressions
 
     def parse_poly(self, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+        self.paren_depth = 0  # an aborted expression may have left it raised
         terms = self._poly_expr(variables)
         return {e: c for e, c in terms.items() if c != 0}
 
@@ -321,11 +328,12 @@ class _Parser:
         return result
 
     def _poly_unary(self, variables) -> dict[tuple[int, ...], Fraction]:
-        if self.at("MINUS"):
+        negate = False
+        while self.at("MINUS"):
             self.advance()
-            inner = self._poly_unary(variables)
-            return {e: -c for e, c in inner.items()}
-        return self._poly_power(variables)
+            negate = not negate
+        inner = self._poly_power(variables)
+        return {e: -c for e, c in inner.items()} if negate else inner
 
     def _poly_power(self, variables) -> dict[tuple[int, ...], Fraction]:
         base = self._poly_atom(variables)
@@ -356,8 +364,12 @@ class _Parser:
             expo = tuple(1 if v == tok.text else 0 for v in variables)
             return {expo: Fraction(1)}
         if tok.kind == "LPAREN":
+            if self.paren_depth == _MAX_PAREN_DEPTH:
+                raise self.error(tok, f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels")
             self.advance()
+            self.paren_depth += 1
             inner = self._poly_expr(variables)
+            self.paren_depth -= 1
             self.expect("RPAREN")
             return inner
         raise self.error(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Sequence
 
-from .orbcore import DomainError, Multiplicity, MultiplicityLike, as_multiplicity
+from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
 
 # Exhaustive enumerations refuse to run past this bound on p * N * q unless
 # the caller raises it explicitly.
@@ -93,7 +93,8 @@ def generator_exponents(
     floor(k_j (1 - 1/m_j)).
 
     Requires finite multiplicities.  For integral m the two normalizations
-    agree via floor(k(1-1/m)) = k - ceil(k/m), which is asserted.
+    agree via floor(k(1-1/m)) = k - ceil(k/m), which is checked
+    (SelfCheckError on failure).
     """
     if len(k) != len(mults):
         raise DomainError("occupancy vector and multiplicity vector differ in length")
@@ -104,8 +105,8 @@ def generator_exponents(
     ceils = tuple(ceil_quotient(kj, m) for kj, m in zip(k, ms))
     floors = tuple(floor_coefficient_multiple(kj, m) for kj, m in zip(k, ms))
     for kj, m, c, f in zip(k, ms, ceils, floors):
-        if m.is_integral:
-            assert f == kj - c, f"floor/ceil identity failed at k={kj}, m={m}"
+        if m.is_integral and f != kj - c:
+            raise SelfCheckError(f"floor/ceil identity failed at k={kj}, m={m}")
     return ExponentProfile(tuple(k), ceils, floors)
 
 
@@ -176,6 +177,8 @@ def check_positive_floor(
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
     if len(mults) != p:
         raise DomainError(f"expected {p} multiplicities, got {len(mults)}")
+    if extra < 0:
+        raise DomainError(f"extra must be >= 0, got {extra}")
     ms = tuple(as_multiplicity(m) for m in mults)
     for m in ms:
         if m.is_finite and m.finite_value() <= 1:
@@ -212,7 +215,8 @@ def relative_exponent(
 ) -> int:
     """The filtration exponent floor(kj(1-1/m)) - sum_{r>=1} floor(k(r)(1-1/m))
     for a decomposition (k(0), ..., k(q)) of kj, with its two-sided bound
-    floor(k(0)(1-1/m)) <= value <= q + floor(k(0)(1-1/m)) asserted."""
+    floor(k(0)(1-1/m)) <= value <= q + floor(k(0)(1-1/m)) checked
+    (SelfCheckError on failure)."""
     mult = as_multiplicity(m)
     if not mult.is_integral:
         raise DomainError(f"relative exponent requires an integral multiplicity, got {mult}")
@@ -226,7 +230,11 @@ def relative_exponent(
     total = floor_coefficient_multiple(kj, mult)
     value = total - sum(floor_coefficient_multiple(x, mult) for x in parts[1:])
     low = floor_coefficient_multiple(parts[0], mult)
-    assert low <= value <= q + low, (kj, parts, str(mult), value)
+    if not low <= value <= q + low:
+        raise SelfCheckError(
+            f"relative exponent {value} outside [{low}, {q + low}] for kj={kj}, "
+            f"decomposition {parts}, m={mult}"
+        )
     return value
 
 
@@ -254,7 +262,7 @@ def check_relative_exponent_bounds(
                     checked += 1
                     try:
                         relative_exponent(kj, parts, m, q)
-                    except AssertionError:
+                    except SelfCheckError:
                         violations.append((kj, parts, m))
     return BoundsReport(checked=checked, violations=tuple(violations))
 
@@ -278,6 +286,6 @@ def check_floor_ceiling_identity(k_max: int = 200, m_max: int = 50) -> int:
         mult = Multiplicity(m)
         for k in range(k_max + 1):
             if floor_coefficient_multiple(k, mult) != k - ceil_quotient(k, mult):
-                raise AssertionError(f"floor/ceil identity failed at k={k}, m={m}")
+                raise SelfCheckError(f"floor/ceil identity failed at k={k}, m={m}")
             checked += 1
     return checked

@@ -61,6 +61,15 @@ class TestGoldenCorpus:
         expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert out == expected
 
+    @pytest.mark.parametrize("name,argv", CORPUS, ids=[name for name, _ in CORPUS])
+    def test_json_matches_golden(self, name, argv, capsys):
+        # pins the JSON schema: field names, types and rendering of every command
+        code = main(argv + ["--json"])
+        out = capsys.readouterr().out
+        assert code == 0
+        expected = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert out == expected
+
 
 class TestJsonStability:
     @pytest.mark.parametrize(
@@ -145,6 +154,36 @@ class TestExitCodes:
         code = main(["-f", str(src), "restrict", "line", "--against", "bare"])
         assert code == 1
         assert "no defining form" in capsys.readouterr().err
+
+    def test_negative_extra_is_domain_error(self, capsys):
+        code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2,2", "--extra", "-5"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: extra must be >= 0, got -5\n"
+
+    def test_deep_nesting_is_parse_error(self, tmp_path, capsys):
+        src = tmp_path / "deep.orb"
+        src.write_text("paramcurve c { x0 = " + "(" * 3000 + "s" + ")" * 3000 + "; x1 = u; x2 = s; }")
+        code = main(["-f", str(src), "restrict", "c", "--against", "L"])
+        assert code == 2
+        assert "nested deeper than" in capsys.readouterr().err
+
+    def test_factoring_failure_is_reported(self, tmp_path, capsys):
+        # every small factoring prime divides the leading coefficient of the
+        # pullback P*s^2 + u^2, so factoring over Q has no usable prime
+        from math import prod
+
+        from orbpairs.polynomials import _FACTOR_PRIMES
+
+        src = tmp_path / "noprime.orb"
+        src.write_text(
+            "plane L { component A degree 1 mult 2 form x0; }\n"
+            f"paramcurve c {{ x0 = {prod(_FACTOR_PRIMES)}*s^2 + u^2; x1 = s*u; x2 = u^2; }}\n"
+        )
+        code = main(["-f", str(src), "restrict", "c", "--against", "L"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: no usable prime found for factorization\n"
 
 
 class TestSymdiffLimitOverride:

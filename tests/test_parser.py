@@ -120,6 +120,30 @@ class TestDiagnostics:
         result = parse("mordell m { p 1; q 3; r 7; }")
         assert not result.ok
 
+    @staticmethod
+    def nested(depth: int) -> str:
+        return (
+            "paramcurve c { x0 = " + "(" * depth + "s" + ")" * depth + "; x1 = u; x2 = s+u; }\n"
+            "paramcurve d { x0 = s; x1 = u; x2 = u; }"
+        )
+
+    def test_nesting_depth_limit(self):
+        # deep nesting is a spanned diagnostic, never a RecursionError
+        assert parse(self.nested(100)).ok
+        for depth in (101, 3000):
+            source = self.nested(depth)
+            result = parse(source)
+            assert not result.ok
+            (diag,) = [d for d in result.diagnostics if "nested deeper" in d.message]
+            assert source[diag.col - 1] == "(" and diag.col == 21 + 100
+            assert "d" in result.document.paramcurves
+
+    def test_long_unary_minus_chain(self):
+        result = parse("paramcurve c { x0 = " + "-" * 5001 + "s; x1 = u; x2 = s+u; }")
+        plain = parse("paramcurve c { x0 = -s; x1 = u; x2 = s+u; }")
+        assert result.ok
+        assert result.document == plain.document
+
 
 class TestRoundTrip:
     def test_shipped_corpus(self):

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -158,3 +163,43 @@ class TestSuperadditivityIdentity:
         value = relative_exponent(kj, tuple(parts), m, q)
         low = floor_coefficient_multiple(parts[0], Multiplicity(m))
         assert low <= value <= q + low
+
+
+class TestSelfChecksSurviveOptimize:
+    def test_broken_floor_caught_under_python_O(self):
+        # python -O strips assert statements; the self-checks must still fire
+        script = textwrap.dedent(
+            """
+            import sys
+            from orbpairs import planepairs, symdiff
+            from orbpairs.orbcore import SelfCheckError
+
+            def ceil_instead_of_floor(k, m):
+                n = m.finite_value().numerator
+                return k - k // n
+
+            symdiff.floor_coefficient_multiple = ceil_instead_of_floor
+            planepairs.anticanonical_degree = lambda pair: 0
+            report = symdiff.check_relative_exponent_bounds(6, 2, 4)
+            print(f"optimize={sys.flags.optimize} ok={report.ok} checked={report.checked}")
+            for name, check in [
+                ("generator", lambda: symdiff.generator_exponents([3], [2])),
+                ("familydim", lambda: planepairs.family_dim_report(
+                    planepairs.PlaneArrangementPair([("L1", 1, 3), ("L2", 1, 3)]), 3)),
+            ]:
+                try:
+                    check()
+                    print(f"{name}=passed")
+                except SelfCheckError:
+                    print(f"{name}=SelfCheckError")
+            """
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == [
+            "optimize=1", "ok=False", "checked=336", "generator=SelfCheckError", "familydim=SelfCheckError",
+        ]
