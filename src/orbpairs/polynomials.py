@@ -1,13 +1,18 @@
 """Exact polynomial arithmetic for contact-order computations.
 
-Univariate polynomials over Q are tuples of Fractions in ascending degree.
-Homogeneous binary forms in (s, u) wrap such a tuple indexed by the s-power;
-homogeneous ternary forms in (x0, x1, x2) are sparse monomial maps.  Full
-factorization over Q is implemented here: content extraction, Yun squarefree
-decomposition by derivative gcds, Berlekamp factoring modulo a small prime,
-linear Hensel lifting past the Mignotte bound, and subset recombination with
-exact trial division.  Every factorization is verified by multiplying back
-before it is returned.
+Univariate polynomials are tuples of coefficients in ascending degree: over Q
+they hold Fractions, over Z and modulo a prime they hold ints, and one
+schoolbook multiply serves all three.  Homogeneous binary forms in (s, u)
+wrap such a tuple indexed by the s-power; homogeneous ternary forms in
+(x0, x1, x2) are sparse monomial maps.  Full factorization over Q is
+implemented here and runs on integers after the content is split off once
+at entry: Yun squarefree decomposition with primitive pseudo-remainder gcds
+and exact integer division, Berlekamp factoring modulo the first odd prime
+that keeps the part squarefree (the search is open-ended: only the finitely
+many primes dividing lc * discriminant are unusable), linear Hensel lifting
+past the Mignotte bound, and subset recombination by exact integer trial
+division.  Every factorization is verified by multiplying back before it is
+returned.
 """
 
 from __future__ import annotations
@@ -16,23 +21,52 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orbcore import DomainError
 
 QPoly = tuple[Fraction, ...]
 IPoly = tuple[int, ...]
+GFPoly = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# univariate arithmetic over Q
+# univariate arithmetic over Q, Z and Z/m
+
+
+def _trim(coeffs: Iterable, modulus: int | None = None) -> tuple:
+    """Coefficients reduced modulo `modulus` (if given) without trailing zeros."""
+    out = [c % modulus for c in coeffs] if modulus else list(coeffs)
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _mul(f: Sequence, g: Sequence) -> list:
+    """Schoolbook product of two coefficient sequences, untrimmed."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
+def _sub(f: Sequence, g: Sequence, modulus: int | None = None) -> tuple:
+    n = max(len(f), len(g))
+    return _trim(
+        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], modulus
+    )
+
+
+def _deriv(f: Sequence, modulus: int | None = None) -> tuple:
+    return _trim([i * f[i] for i in range(1, len(f))], modulus)
 
 
 def qpoly(coeffs: Iterable[Fraction | int]) -> QPoly:
-    out = [Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return _trim(Fraction(c) for c in coeffs)
 
 
 def qdeg(f: QPoly) -> int:
@@ -40,68 +74,23 @@ def qdeg(f: QPoly) -> int:
     return len(f) - 1
 
 
-def qsub(f: QPoly, g: QPoly) -> QPoly:
-    n = max(len(f), len(g))
-    return qpoly(
-        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)]
-    )
-
-
 def qmul(f: QPoly, g: QPoly) -> QPoly:
-    if not f or not g:
-        return ()
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return qpoly(out)
+    return qpoly(_mul(f, g))
 
 
 def qscale(f: QPoly, c: Fraction | int) -> QPoly:
     return qpoly([a * c for a in f])
 
 
-def qdivmod(f: QPoly, g: QPoly) -> tuple[QPoly, QPoly]:
-    if not g:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    quo = [Fraction(0)] * max(len(f) - len(g) + 1, 0)
-    inv = 1 / g[-1]
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] * inv
-        if c == 0:
-            continue
-        quo[i] = c
-        for j, b in enumerate(g):
-            rem[i + j] -= c * b
-    return qpoly(quo), qpoly(rem)
-
-
-def qdiv_exact(f: QPoly, g: QPoly) -> QPoly:
-    q, r = qdivmod(f, g)
-    if r:
-        raise ArithmeticError("inexact polynomial division")
-    return q
-
-
-def qderiv(f: QPoly) -> QPoly:
-    return qpoly([i * f[i] for i in range(1, len(f))])
-
-
-def qmonic(f: QPoly) -> QPoly:
+def _primitive(f: Sequence[int]) -> IPoly:
+    """Primitive part with positive leading coefficient; () for zero."""
+    f = _trim(f)
     if not f:
-        return f
-    return qscale(f, 1 / f[-1])
-
-
-def qgcd(f: QPoly, g: QPoly) -> QPoly:
-    """Monic gcd by the Euclidean algorithm over Q."""
-    a, b = f, g
-    while b:
-        a, b = b, qdivmod(a, b)[1]
-    return qmonic(a)
+        return ()
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return tuple(c // g for c in f)
 
 
 def content_primitive(f: QPoly) -> tuple[Fraction, IPoly]:
@@ -111,65 +100,75 @@ def content_primitive(f: QPoly) -> tuple[Fraction, IPoly]:
         return Fraction(0), ()
     denom = math.lcm(*(c.denominator for c in f))
     ints = [c.numerator * (denom // c.denominator) for c in f]
-    g = math.gcd(*ints)
-    if ints[-1] < 0:
-        g = -g
-    return Fraction(g, denom), tuple(c // g for c in ints)
+    prim = _primitive(ints)
+    return Fraction(ints[-1] // prim[-1], denom), prim
+
+
+def _divide(f: IPoly, g: IPoly) -> IPoly | None:
+    """Quotient f / g in Z[x], or None when g does not divide f exactly."""
+    rem = list(f)
+    n = len(g)
+    quo = [0] * max(len(rem) - n + 1, 0)
+    for i in range(len(quo) - 1, -1, -1):
+        q, r = divmod(rem[i + n - 1], g[-1])
+        if r:
+            return None
+        if q:
+            quo[i] = q
+            for j, b in enumerate(g):
+                rem[i + j] -= q * b
+    return tuple(quo) if not any(rem) else None
+
+
+def _prem(f: IPoly, g: IPoly) -> IPoly:
+    """Remainder of c * f by g over Z, c a power of lc(g)."""
+    r = list(f)
+    n = len(g) - 1
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            shift = len(r) - n
+            r = [g[-1] * a for a in r]
+            for j in range(n):
+                r[shift + j] -= c * g[j]
+    return _trim(r)
+
+
+def _gcd(f: IPoly, g: IPoly) -> IPoly:
+    """Primitive gcd over Z by the primitive pseudo-remainder sequence."""
+    a, b = _primitive(f), _primitive(g)
+    while b:
+        a, b = b, _primitive(_prem(a, b))
+    return a
 
 
 def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
-    """Yun's algorithm via derivative gcds.
+    """Yun's algorithm over Z via derivative gcds.
 
     Returns pairwise-coprime primitive squarefree parts with multiplicities,
     so that f is a constant times the product of part^multiplicity."""
     if qdeg(f) < 1:
         raise DomainError("squarefree decomposition needs degree >= 1")
     out: list[tuple[IPoly, int]] = []
-    d = qgcd(f, qderiv(f))
-    b = qdiv_exact(f, d)
-    c = qdiv_exact(qderiv(f), d)
-    z = qsub(c, qderiv(b))
-    i = 1
-    while qdeg(b) > 0:
-        a = qgcd(b, z)
-        if qdeg(a) > 0:
-            out.append((content_primitive(a)[1], i))
-        b = qdiv_exact(b, a)
-        c = qdiv_exact(z, a)
-        z = qsub(c, qderiv(b))
+    b = content_primitive(f)[1]
+    d = _deriv(b)
+    i = 0
+    # step 0 divides out gcd(f, f'); step i >= 1 splits off the part of
+    # multiplicity i as gcd(b, c - b')
+    while len(b) > 1:
+        a = _gcd(b, d)
+        if i and len(a) > 1:
+            out.append((a, i))
+        b, c = _divide(b, a), _divide(d, a)
+        if b is None or c is None:
+            raise ArithmeticError("inexact division in squarefree decomposition")
+        d = _sub(c, _deriv(b))
         i += 1
     return out
 
 
 # ---------------------------------------------------------------------------
 # arithmetic modulo a prime
-
-GFPoly = tuple[int, ...]
-
-
-def gf_trim(f: Sequence[int], p: int) -> GFPoly:
-    out = [c % p for c in f]
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def gf_sub(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
-    n = max(len(f), len(g))
-    return gf_trim(
-        [(f[i] if i < len(f) else 0) - (g[i] if i < len(g) else 0) for i in range(n)], p
-    )
-
-
-def gf_mul(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
-    if not f or not g:
-        return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % p
-    return gf_trim(out, p)
 
 
 def gf_divmod(f: GFPoly, g: GFPoly, p: int) -> tuple[GFPoly, GFPoly]:
@@ -184,7 +183,7 @@ def gf_divmod(f: GFPoly, g: GFPoly, p: int) -> tuple[GFPoly, GFPoly]:
             quo[i] = c
             for j, b in enumerate(g):
                 rem[i + j] = (rem[i + j] - c * b) % p
-    return gf_trim(quo, p), gf_trim(rem, p)
+    return _trim(quo, p), _trim(rem, p)
 
 
 def gf_gcd(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
@@ -193,7 +192,7 @@ def gf_gcd(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
         a, b = b, gf_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], -1, p)
-        a = gf_trim([c * inv for c in a], p)
+        a = _trim([c * inv for c in a], p)
     return a
 
 
@@ -202,14 +201,10 @@ def gf_pow_mod(base: GFPoly, e: int, mod: GFPoly, p: int) -> GFPoly:
     base = gf_divmod(base, mod, p)[1]
     while e:
         if e & 1:
-            result = gf_divmod(gf_mul(result, base, p), mod, p)[1]
-        base = gf_divmod(gf_mul(base, base, p), mod, p)[1]
+            result = gf_divmod(_trim(_mul(result, base), p), mod, p)[1]
+        base = gf_divmod(_trim(_mul(base, base), p), mod, p)[1]
         e >>= 1
     return result
-
-
-def gf_deriv(f: GFPoly, p: int) -> GFPoly:
-    return gf_trim([i * f[i] for i in range(1, len(f))], p)
 
 
 def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:
@@ -220,11 +215,11 @@ def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:
     while r1:
         q, r = gf_divmod(r0, r1, p)
         r0, r1 = r1, r
-        t0, t1 = t1, gf_sub(t0, gf_mul(q, t1, p), p)
+        t0, t1 = t1, _sub(t0, _mul(q, t1), p)
     if len(r0) != 1:
         raise ArithmeticError("element is not invertible")
     inv = pow(r0[0], -1, p)
-    return gf_trim([c * inv for c in t0], p)
+    return _trim([c * inv for c in t0], p)
 
 
 def _gf_nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
@@ -271,7 +266,7 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
     cur: GFPoly = (1,)
     for _ in range(n):
         rows.append(list(cur) + [0] * (n - len(cur)))
-        cur = gf_divmod(gf_mul(cur, xp, p), f, p)[1]
+        cur = gf_divmod(_trim(_mul(cur, xp), p), f, p)[1]
     for i in range(n):
         rows[i][i] = (rows[i][i] - 1) % p
     transposed = [[rows[r][c] for r in range(n)] for c in range(n)]
@@ -281,7 +276,7 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
         return [f]
     factors: list[GFPoly] = [f]
     for vec in basis:
-        vpoly = gf_trim(vec, p)
+        vpoly = _trim(vec, p)
         if len(vpoly) <= 1:
             continue
         refined: list[GFPoly] = []
@@ -289,7 +284,7 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
             pieces = [u]
             if len(u) - 1 > 1:
                 for c in range(p):
-                    shifted = gf_sub(vpoly, (c,), p)
+                    shifted = _sub(vpoly, (c,), p)
                     next_pieces: list[GFPoly] = []
                     for w in pieces:
                         if len(w) - 1 <= 1:
@@ -312,24 +307,19 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
 # ---------------------------------------------------------------------------
 # factorization over Z / Q
 
-_FACTOR_PRIMES = (
-    3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71,
-    73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131, 137, 139, 149,
-)
+
+def _odd_primes() -> Iterator[int]:
+    """3, 5, 7, 11, ... without end."""
+    p = 3
+    while True:
+        if all(p % q for q in range(3, math.isqrt(p) + 1, 2)):
+            yield p
+        p += 2
 
 
 def _symmetric(c: int, modulus: int) -> int:
     c %= modulus
     return c - modulus if c > modulus // 2 else c
-
-
-def _imul_mod(f: Sequence[int], g: Sequence[int], modulus: int) -> list[int]:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % modulus
-    return out
 
 
 def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[list[int]]:
@@ -342,22 +332,17 @@ def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[list[i
         others: GFPoly = (lc % p,)
         for j, h in enumerate(modular):
             if j != i:
-                others = gf_mul(others, h, p)
+                others = _trim(_mul(others, h), p)
         inverses.append(gf_inverse_mod(others, g, p))
     pj = p
     for _ in range(1, k):
         modulus = pj * p
-        prod = [lc % modulus]
+        prod: GFPoly = (lc % modulus,)
         for g in gs:
-            prod = _imul_mod(prod, g, modulus)
-        err = [
-            ((f[i] if i < len(f) else 0) - (prod[i] if i < len(prod) else 0)) % modulus
-            for i in range(max(len(f), len(prod)))
-        ]
-        ebar = gf_trim([c // pj for c in err], p)
+            prod = _trim(_mul(prod, g), modulus)
+        ebar = _trim([c // pj for c in _sub(f, prod, modulus)], p)
         for i, g in enumerate(gs):
-            gi = gf_trim(g, p)
-            delta = gf_divmod(gf_mul(ebar, inverses[i], p), gi, p)[1]
+            delta = gf_divmod(_trim(_mul(ebar, inverses[i]), p), _trim(g, p), p)[1]
             for deg, c in enumerate(delta):
                 g[deg] = (g[deg] + pj * c) % modulus
         pj = modulus
@@ -371,22 +356,14 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     if n <= 1:
         return [f]
     lc = f[-1]
-    prime = None
-    for p in _FACTOR_PRIMES:
-        if lc % p == 0:
-            continue
-        fp = gf_trim(f, p)
-        if len(fp) - 1 != n:
-            continue
-        if len(gf_gcd(fp, gf_deriv(fp, p), p)) == 1:
-            prime = p
-            break
-    if prime is None:
-        raise ArithmeticError("no usable prime found for factorization")
-    p = prime
-    inv_lc = pow(lc % p, -1, p)
-    monic_fp = gf_trim([c * inv_lc for c in f], p)
-    modular = gf_berlekamp(monic_fp, p)
+    # ends: only the finitely many primes dividing lc * disc(f) are unusable
+    for p in _odd_primes():
+        if lc % p:
+            fp = _trim(f, p)
+            if len(gf_gcd(fp, _deriv(fp, p), p)) == 1:
+                break
+    inv_lc = pow(lc, -1, p)
+    modular = gf_berlekamp(_trim([c * inv_lc for c in f], p), p)
     if len(modular) == 1:
         return [f]
 
@@ -409,24 +386,23 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     while 2 * size <= len(active):
         found = False
         for subset in combinations(active, size):
-            prod: list[int] = [remaining[-1] % pk]
+            prod: GFPoly = (remaining[-1] % pk,)
             for idx in subset:
-                prod = _imul_mod(prod, lifted[idx], pk)
-            candidate = qpoly([_symmetric(c, pk) for c in prod])
-            if qdeg(candidate) < 1:
+                prod = _trim(_mul(prod, lifted[idx]), pk)
+            candidate = _primitive([_symmetric(c, pk) for c in prod])
+            if len(candidate) < 2:
                 continue
-            cand_prim = content_primitive(candidate)[1]
-            quo, rem = qdivmod(qpoly(remaining), qpoly(cand_prim))
-            if not rem and all(c.denominator == 1 for c in quo):
-                result.append(cand_prim)
-                remaining = tuple(int(c) for c in quo)
+            quo = _divide(remaining, candidate)
+            if quo is not None:
+                result.append(candidate)
+                remaining = quo
                 active = [i for i in active if i not in subset]
                 found = True
                 break
         if not found:
             size += 1
-    if len(remaining) - 1 >= 1:
-        result.append(content_primitive(qpoly(remaining))[1])
+    if len(remaining) >= 2:
+        result.append(remaining)
     return sorted(result)
 
 
@@ -440,17 +416,16 @@ def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
         raise DomainError("cannot factor the zero polynomial")
     if qdeg(f) == 0:
         return f[0], []
-    factors: list[tuple[IPoly, int]] = []
-    for part, mult in squarefree_decomposition(f):
-        for irr in _zassenhaus(part):
-            factors.append((irr, mult))
+    content, prim = content_primitive(f)
+    factors = [
+        (irr, mult) for part, mult in squarefree_decomposition(prim) for irr in _zassenhaus(part)
+    ]
     factors.sort(key=lambda fe: (len(fe[0]), fe[0]))
-    check: QPoly = (Fraction(1),)
+    check: list[int] = [1]
     for irr, e in factors:
         for _ in range(e):
-            check = qmul(check, qpoly(irr))
-    content = f[-1] / check[-1]
-    if qscale(check, content) != f:
+            check = _mul(check, irr)
+    if tuple(check) != prim:
         raise ArithmeticError("factorization self-check failed")
     return content, factors
 
@@ -497,13 +472,7 @@ class HomogeneousPoly2:
         return all(c == 0 for c in self.coeffs)
 
     def mul(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
-        out = [Fraction(0)] * (self.degree + other.degree + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return HomogeneousPoly2(self.degree + other.degree, tuple(out))
+        return HomogeneousPoly2(self.degree + other.degree, tuple(_mul(self.coeffs, other.coeffs)))
 
     def add(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
         if self.degree != other.degree:
@@ -521,26 +490,13 @@ class HomogeneousPoly2:
             result = result.mul(self)
         return result
 
-    def s_valuation(self) -> int:
-        """Exponent of s dividing the form (form must be nonzero)."""
-        return next(i for i, c in enumerate(self.coeffs) if c != 0)
-
-    def u_valuation(self) -> int:
-        """Exponent of u dividing the form (form must be nonzero)."""
-        return self.degree - max(i for i, c in enumerate(self.coeffs) if c != 0)
-
     def canonical(self) -> "HomogeneousPoly2":
         """Primitive integer form, positive at the top s-power: the canonical
         representative used to group irreducible factors across pullbacks."""
         if self.is_zero:
             raise DomainError("the zero form has no canonical representative")
-        denom = math.lcm(*(c.denominator for c in self.coeffs))
-        ints = [c.numerator * (denom // c.denominator) for c in self.coeffs]
-        g = math.gcd(*ints)
-        top = max(i for i, c in enumerate(ints) if c != 0)
-        if ints[top] < 0:
-            g = -g
-        return HomogeneousPoly2(self.degree, tuple(Fraction(c, g) for c in ints))
+        prim = content_primitive(_trim(self.coeffs))[1]
+        return HomogeneousPoly2(self.degree, prim + (0,) * (self.degree + 1 - len(prim)))
 
     def factor(self) -> tuple[Fraction, list[tuple["HomogeneousPoly2", int]]]:
         """Factor into canonical irreducible forms with exponents.
@@ -550,20 +506,16 @@ class HomogeneousPoly2:
         which is factored over Q and homogenized back."""
         if self.is_zero:
             raise DomainError("cannot factor the zero form")
-        sval = self.s_valuation()
-        uval = self.u_valuation()
+        sval, uval, core = _split(self)
         out: list[tuple[HomogeneousPoly2, int]] = []
         if sval:
             out.append((HomogeneousPoly2.variable("s"), sval))
         if uval:
             out.append((HomogeneousPoly2.variable("u"), uval))
-        core = qpoly(self.coeffs[sval : self.degree - uval + 1])
-        if qdeg(core) < 1:
+        if len(core) == 1:
             return core[0], out
         content, factors = factor_rational(core)
-        for irr, e in factors:
-            form = HomogeneousPoly2(len(irr) - 1, tuple(Fraction(c) for c in irr))
-            out.append((form, e))
+        out.extend((HomogeneousPoly2(len(irr) - 1, irr), e) for irr, e in factors)
         out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
         return content, out
 
@@ -571,23 +523,22 @@ class HomogeneousPoly2:
         return render_poly2(self)
 
 
+def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
+    """(s-valuation, u-valuation, core) of a nonzero form, where the core's
+    coefficients are those of form / (s^sval u^uval), lowest s-power first."""
+    nonzero = [i for i, c in enumerate(form.coeffs) if c]
+    return nonzero[0], form.degree - nonzero[-1], form.coeffs[nonzero[0] : nonzero[-1] + 1]
+
+
 def poly2_gcd(f: HomogeneousPoly2, g: HomogeneousPoly2) -> HomogeneousPoly2:
     """gcd of two nonzero homogeneous forms, in canonical form."""
     if f.is_zero or g.is_zero:
         raise DomainError("gcd with the zero form")
-    sval = min(f.s_valuation(), g.s_valuation())
-    uval = min(f.u_valuation(), g.u_valuation())
-    core_f = qpoly(f.coeffs[f.s_valuation() : f.degree - f.u_valuation() + 1])
-    core_g = qpoly(g.coeffs[g.s_valuation() : g.degree - g.u_valuation() + 1])
-    core = qgcd(core_f, core_g)
-    base = HomogeneousPoly2(qdeg(core), core)
-    result = (
-        HomogeneousPoly2.variable("s")
-        .power(sval)
-        .mul(HomogeneousPoly2.variable("u").power(uval))
-        .mul(base)
-    )
-    return result.canonical()
+    fs, fu, fcore = _split(f)
+    gs, gu, gcore = _split(g)
+    core = _gcd(content_primitive(fcore)[1], content_primitive(gcore)[1])
+    coeffs = (0,) * min(fs, gs) + core + (0,) * min(fu, gu)
+    return HomogeneousPoly2(len(coeffs) - 1, coeffs)
 
 
 # ---------------------------------------------------------------------------

@@ -167,23 +167,42 @@ class TestExitCodes:
         assert code == 2
         assert "nested deeper than" in capsys.readouterr().err
 
-    def test_factoring_failure_is_reported(self, tmp_path, capsys):
-        # every small factoring prime divides the leading coefficient of the
-        # pullback P*s^2 + u^2, so factoring over Q has no usable prime
-        from math import prod
+    def test_factoring_failure_is_reported(self, tmp_path, capsys, monkeypatch):
+        from orbpairs import polynomials
 
-        from orbpairs.polynomials import _FACTOR_PRIMES
+        def broken(f):
+            raise ArithmeticError("factorization self-check failed")
 
-        src = tmp_path / "noprime.orb"
+        monkeypatch.setattr(polynomials, "squarefree_decomposition", broken)
+        src = tmp_path / "conic.orb"
         src.write_text(
             "plane L { component A degree 1 mult 2 form x0; }\n"
-            f"paramcurve c {{ x0 = {prod(_FACTOR_PRIMES)}*s^2 + u^2; x1 = s*u; x2 = u^2; }}\n"
+            "paramcurve c { x0 = 2*s^2 + u^2; x1 = s*u; x2 = u^2; }\n"
         )
         code = main(["-f", str(src), "restrict", "c", "--against", "L"])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
-        assert captured.err == "error: no usable prime found for factorization\n"
+        assert captured.err == "error: factorization self-check failed\n"
+
+    def test_small_primes_dividing_leading_coefficient(self, tmp_path, capsys):
+        # every odd prime up to 149 divides the leading coefficient of the
+        # pullback P*s^2 + u^2, so factoring has to search past them
+        from math import prod
+
+        P = prod(p for p in range(3, 150, 2) if all(p % q for q in range(3, p, 2)))
+        src = tmp_path / "bigprime.orb"
+        src.write_text(
+            "plane L { component A degree 1 mult 2 form x0; }\n"
+            f"paramcurve c {{ x0 = {P}*s^2 + u^2; x1 = s*u; x2 = u^2; }}\n"
+        )
+        code = main(["-f", str(src), "restrict", "c", "--against", "L", "--json"])
+        captured = capsys.readouterr()
+        assert code == 0
+        result = json.loads(captured.out)
+        point = f"{P}*s^2+u^2"
+        assert result["marks"] == {f"{point}#1": "2", f"{point}#2": "2"}
+        assert result["rational"] is True
 
 
 class TestSymdiffLimitOverride:

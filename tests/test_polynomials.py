@@ -20,6 +20,11 @@ from orbpairs.polynomials import (
 )
 
 
+SWINNERTON_DYER_16 = (
+    46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1,
+)
+
+
 def expand(factors):
     out = qpoly([1])
     for coeffs, e in factors:
@@ -45,6 +50,16 @@ class TestFactorRational:
              [((-1, 1), 1), ((1, 1), 1), ((1, -1, 1), 1), ((1, 1, 1), 1)]),
             # x^3 (double content)
             (qpoly([0, 0, 0, 2]), [((0, 1), 3)]),
+            # x^24 - 1: the cyclotomic polynomials of the 8 divisors of 24
+            (qpoly([-1] + [0] * 23 + [1]),
+             [((-1, 1), 1), ((1, 1), 1), ((1, 1, 1), 1), ((1, 0, 1), 1), ((1, -1, 1), 1),
+              ((1, 0, 0, 0, 1), 1), ((1, 0, -1, 0, 1), 1), ((1, 0, 0, 0, -1, 0, 0, 0, 1), 1)]),
+            # Swinnerton-Dyer polynomial for sqrt 2, 3, 5, 7: irreducible, but
+            # it splits into factors of degree <= 2 modulo every prime
+            (qpoly(SWINNERTON_DYER_16), [(SWINNERTON_DYER_16, 1)]),
+            # -3/4 x^3 (x+1)^2: content and a negative leading coefficient
+            (qscale(expand([((0, 1), 3), ((1, 1), 2)]), Fraction(-3, 4)),
+             [((0, 1), 3), ((1, 1), 2)]),
         ]
         for poly, expected in cases:
             _, factors = factor_rational(poly)
@@ -98,10 +113,16 @@ class TestFactorRational:
 
 class TestSquarefree:
     def test_derivative_gcd_structure(self):
-        # (x-1)^3 (x+1): parts of multiplicity 1 and 3
-        poly = expand([((-1, 1), 3), ((1, 1), 1)])
-        parts = squarefree_decomposition(poly)
-        assert sorted(parts, key=lambda pe: pe[1]) == [((1, 1), 1), ((-1, 1), 3)]
+        cases = [
+            # (x-1)^3 (x+1): parts of multiplicity 1 and 3
+            (expand([((-1, 1), 3), ((1, 1), 1)]), [((1, 1), 1), ((-1, 1), 3)]),
+            # -3/4 x^3 (x+1)^2: content and a negative leading coefficient
+            (qscale(expand([((0, 1), 3), ((1, 1), 2)]), Fraction(-3, 4)),
+             [((1, 1), 2), ((0, 1), 3)]),
+        ]
+        for poly, expected in cases:
+            parts = squarefree_decomposition(poly)
+            assert sorted(parts, key=lambda pe: pe[1]) == expected, poly
 
     def test_squarefree_input(self):
         assert squarefree_decomposition(qpoly([-1, 0, 1])) == [((-1, 0, 1), 1)]
@@ -155,6 +176,32 @@ class TestHomogeneousForms:
         f = s.power(2).mul(u)
         g = s.mul(u).mul(u)
         assert str(poly2_gcd(f, g)) == "s*u"
+
+    @given(*[
+        st.tuples(
+            st.integers(0, 2),
+            st.integers(0, 2),
+            st.lists(st.fractions(-6, 6, max_denominator=4), min_size=1, max_size=4),
+        )
+        for _ in range(3)
+    ])
+    @settings(max_examples=60, deadline=None)
+    def test_gcd_matches_factorizations(self, a, b, c):
+        # gcd(a*c, b*c) against the min exponents of the shared canonical
+        # factors that factor() finds in both products
+        def form(sval, uval, core):
+            coeffs = (0,) * sval + tuple(core) + (0,) * uval
+            return HomogeneousPoly2(len(coeffs) - 1, coeffs)
+
+        forms = [form(*spec) for spec in (a, b, c)]
+        if any(f.is_zero for f in forms):
+            return
+        ac, bc = forms[0].mul(forms[2]), forms[1].mul(forms[2])
+        exponents = [dict(product.factor()[1]) for product in (ac, bc)]
+        expected = HomogeneousPoly2.one()
+        for factor, e in exponents[0].items():
+            expected = expected.mul(factor.power(min(e, exponents[1].get(factor, 0))))
+        assert poly2_gcd(ac, bc) == expected
 
     def test_rendering(self):
         assert render_poly2(HomogeneousPoly2(2, (Fraction(-2), Fraction(0), Fraction(1)))) == "s^2-2*u^2"
