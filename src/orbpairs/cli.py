@@ -167,19 +167,25 @@ def cmd_pfull(args: argparse.Namespace, doc: None) -> Result:
     return shown, extra, []
 
 
+def _natural(text: str, message: str) -> int:
+    """``text`` as a nonnegative integer, else a DomainError with ``message``."""
+    if text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit, or a digit such as '²'
+            pass
+    raise DomainError(message)
+
+
 def cmd_symdiff_check(args: argparse.Namespace, doc: None) -> Result:
-    mults = []
-    for part in args.mults.split(","):
-        part = part.strip()
-        if not part.isdigit():
-            raise DomainError(f"multiplicities must be comma-separated integers, got {part!r}")
-        mults.append(int(part))
+    mults = [
+        _natural(part, f"multiplicities must be comma-separated integers, got {part!r}")
+        for part in map(str.strip, args.mults.split(","))
+    ]
     limit = symdiff.DEFAULT_ENUMERATION_LIMIT
     env = os.environ.get(_SYMDIFF_LIMIT_ENV)
     if env is not None:
-        if not env.isdigit():
-            raise DomainError(f"{_SYMDIFF_LIMIT_ENV} must be an integer, got {env!r}")
-        limit = int(env)
+        limit = _natural(env, f"{_SYMDIFF_LIMIT_ENV} must be an integer, got {env!r}")
     report = symdiff.check_positive_floor(args.p, args.q, mults, extra=args.extra, limit=limit)
     shown = {
         "threshold": report.threshold,

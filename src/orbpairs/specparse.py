@@ -10,15 +10,19 @@ use integer or rational coefficients, the variables of their context
 
 Parsing is recursive descent with precise source spans.  Errors are
 collected as diagnostics and never abort the parse: a bad statement skips to
-the next semicolon, a structurally broken declaration skips to the next
-top-level keyword.  Cross-references (the ``upper`` fibration of a twostage)
-resolve after the whole document is read.
+the next semicolon or past the next balanced brace block, a structurally
+broken declaration skips to the next top-level keyword.  Every declaration
+goes through one pipeline: the header, a kind-specific body reader, then one
+build-and-file step that reports domain errors at the declaration name.
+Cross-references (the ``upper`` fibration of a twostage) resolve after the
+whole document is read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Callable
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
@@ -31,6 +35,10 @@ from .polynomials import HomogeneousPoly2, HomogeneousPoly3, render_poly2, rende
 # costs a few Python frames, so deeper input is reported as a parse error
 # instead of exhausting the interpreter's recursion limit.
 _MAX_PAREN_DEPTH = 100
+
+# Exponents and the degree of every product and power are capped here, and
+# checked before expanding, so the input alone cannot set unbounded work.
+_MAX_DEGREE = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +78,7 @@ _SYMBOLS = {
     ")": "RPAREN",
 }
 
-_DECL_KEYWORDS = (
-    "curve",
-    "plane",
-    "fibration",
-    "twostage",
-    "morphism",
-    "paramcurve",
-    "mordell",
-)
+_PLANE_VARIABLES = ("x0", "x1", "x2")
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -177,19 +177,11 @@ class SpecDocument:
     mordells: dict[str, OrbifoldP1Triple] = field(default_factory=dict)
 
     def kinds_of(self, name: str) -> list[str]:
-        return [
-            kind
-            for kind, table in (
-                ("curve", self.curves),
-                ("plane", self.planes),
-                ("fibration", self.fibrations),
-                ("twostage", self.twostages),
-                ("morphism", self.morphisms),
-                ("paramcurve", self.paramcurves),
-                ("mordell", self.mordells),
-            )
-            if name in table
-        ]
+        return [kind[:-1] for kind, table in vars(self).items() if name in table]
+
+
+# the declaration kinds, in document order: each has a table named <kind>s
+_DECL_KEYWORDS = tuple(table.name[:-1] for table in fields(SpecDocument))
 
 
 @dataclass
@@ -209,13 +201,23 @@ class _Abort(Exception):
         self.diagnostic = diagnostic
 
 
+def _diag(tok: Token, message: str) -> Diagnostic:
+    return Diagnostic("error", tok.line, tok.col, message)
+
+
+def _require(values: dict, names: tuple[str, ...], owner: str) -> None:
+    missing = [n for n in names if n not in values]
+    if missing:
+        raise DomainError(f"{owner} is missing {', '.join(missing)}")
+
+
 class _Parser:
     def __init__(self, tokens: list[Token], diagnostics: list[Diagnostic]) -> None:
         self.tokens = tokens
         self.pos = 0
         self.diagnostics = diagnostics
         self.document = SpecDocument()
-        self.pending_twostages: list[tuple[str, str, dict, Token]] = []
+        self.twostages: list[tuple[Token, Callable[[], TwoStageDecl]]] = []
         self.paren_depth = 0
 
     # -- token plumbing
@@ -238,12 +240,19 @@ class _Parser:
             return self.advance()
         tok = self.peek()
         wanted = what or (text if text is not None else kind.lower())
-        raise _Abort(
-            Diagnostic("error", tok.line, tok.col, f"expected {wanted}, found {tok.text!r}")
-        )
+        raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
+
+    def keyword(self, *options: str) -> Token:
+        """Consume one of the keywords ``options``."""
+        tok = self.peek()
+        if tok.kind != "IDENT" or tok.text not in options:
+            quoted = [repr(o) for o in options]
+            wanted = ", ".join(quoted[:-1]) + " or " + quoted[-1]
+            raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
+        return self.advance()
 
     def error(self, tok: Token, message: str) -> _Abort:
-        return _Abort(Diagnostic("error", tok.line, tok.col, message))
+        return _Abort(_diag(tok, message))
 
     def report(self, diagnostic: Diagnostic) -> None:
         self.diagnostics.append(diagnostic)
@@ -251,56 +260,67 @@ class _Parser:
     # -- recovery
 
     def skip_statement(self) -> None:
-        """Advance past the next semicolon, stopping at braces or EOF."""
+        """Advance past the next semicolon or balanced brace block, stopping
+        at an unmatched closing brace or EOF."""
+        depth = 0
         while not self.at("EOF"):
-            if self.at("SEMI"):
-                self.advance()
-                return
-            if self.at("RBRACE") or self.at("LBRACE"):
+            kind = self.peek().kind
+            if kind == "RBRACE" and depth == 0:
                 return
             self.advance()
+            if kind == "LBRACE":
+                depth += 1
+            elif kind == "RBRACE":
+                depth -= 1
+                if depth == 0:
+                    return
+            elif kind == "SEMI" and depth == 0:
+                return
 
     def skip_declaration(self) -> None:
         """Advance to the next top-level declaration keyword."""
         depth = 0
         while not self.at("EOF"):
             tok = self.peek()
+            if depth == 0 and tok.kind == "IDENT" and tok.text in _DECL_KEYWORDS:
+                return
+            self.advance()
             if tok.kind == "LBRACE":
                 depth += 1
             elif tok.kind == "RBRACE":
                 depth = max(0, depth - 1)
-                self.advance()
-                if depth == 0 and self.peek().kind == "IDENT" and self.peek().text in _DECL_KEYWORDS:
-                    return
-                continue
-            elif depth == 0 and tok.kind == "IDENT" and tok.text in _DECL_KEYWORDS:
-                return
-            self.advance()
 
     # -- literals
 
     def parse_int(self, what: str) -> int:
         tok = self.expect("NUMBER", what=what)
-        return int(tok.text)
+        try:
+            return int(tok.text)
+        except ValueError:  # past the interpreter's digit limit, or a digit such as '²'
+            raise self.error(tok, f"cannot read the {len(tok.text)}-digit integer literal")
 
-    def parse_multiplicity(self) -> Multiplicity:
-        tok = self.peek()
-        if tok.kind == "IDENT" and tok.text == "inf":
-            self.advance()
-            return Multiplicity.infinity()
-        num_tok = self.expect("NUMBER", what="multiplicity (integer, a/b or inf)")
-        value = Fraction(int(num_tok.text))
+    def parse_rational(self, what: str) -> Fraction:
+        """``NUMBER [/ NUMBER]`` with a nonzero denominator."""
+        value = Fraction(self.parse_int(what))
         if self.at("SLASH"):
             self.advance()
-            den_tok = self.expect("NUMBER", what="denominator")
-            den = int(den_tok.text)
+            den_tok = self.peek()
+            den = self.parse_int("denominator")
             if den == 0:
                 raise self.error(den_tok, "zero denominator")
-            value = Fraction(int(num_tok.text), den)
+            value /= den
+        return value
+
+    def parse_multiplicity(self) -> Multiplicity:
+        if self.at("IDENT", "inf"):
+            self.advance()
+            return Multiplicity.infinity()
+        tok = self.peek()
+        value = self.parse_rational("multiplicity (integer, a/b or inf)")
         try:
             return Multiplicity(value)
         except DomainError as exc:
-            raise _Abort(Diagnostic("error", num_tok.line, num_tok.col, str(exc)))
+            raise self.error(tok, str(exc))
 
     # -- polynomial expressions
 
@@ -322,8 +342,9 @@ class _Parser:
     def _poly_term(self, variables) -> dict[tuple[int, ...], Fraction]:
         result = self._poly_unary(variables)
         while self.at("STAR"):
-            self.advance()
+            op = self.advance()
             rhs = self._poly_unary(variables)
+            self._check_degree(op, _degree(result) + _degree(rhs))
             result = _poly_mul(result, rhs)
         return result
 
@@ -337,28 +358,26 @@ class _Parser:
 
     def _poly_power(self, variables) -> dict[tuple[int, ...], Fraction]:
         base = self._poly_atom(variables)
-        if self.at("CARET"):
-            self.advance()
-            expo = self.parse_int("exponent")
-            result = {(0,) * len(variables): Fraction(1)}
-            for _ in range(expo):
-                result = _poly_mul(result, base)
-            return result
-        return base
+        if not self.at("CARET"):
+            return base
+        op = self.advance()
+        expo = self.parse_int("exponent")
+        if expo > _MAX_DEGREE:
+            raise self.error(op, f"exponent exceeds the limit of {_MAX_DEGREE}")
+        self._check_degree(op, _degree(base) * expo)
+        result = {(0,) * len(variables): Fraction(1)}
+        for _ in range(expo):
+            result = _poly_mul(result, base)
+        return result
+
+    def _check_degree(self, op: Token, degree: int) -> None:
+        if degree > _MAX_DEGREE:
+            raise self.error(op, f"polynomial degree {degree} exceeds the limit of {_MAX_DEGREE}")
 
     def _poly_atom(self, variables) -> dict[tuple[int, ...], Fraction]:
         tok = self.peek()
-        zero = (0,) * len(variables)
         if tok.kind == "NUMBER":
-            self.advance()
-            value = Fraction(int(tok.text))
-            if self.at("SLASH"):
-                self.advance()
-                den_tok = self.expect("NUMBER", what="denominator")
-                if int(den_tok.text) == 0:
-                    raise self.error(den_tok, "zero denominator")
-                value = Fraction(int(tok.text), int(den_tok.text))
-            return {zero: value}
+            return {(0,) * len(variables): self.parse_rational("number")}
         if tok.kind == "IDENT" and tok.text in variables:
             self.advance()
             expo = tuple(1 if v == tok.text else 0 for v in variables)
@@ -377,70 +396,66 @@ class _Parser:
             f"expected a polynomial in {', '.join(variables)}, found {tok.text!r}",
         )
 
-    def homogeneous2(self, terms: dict[tuple[int, ...], Fraction], tok: Token) -> HomogeneousPoly2 | None:
-        """Convert parsed (s, u) terms to a homogeneous form; None means the
-        zero polynomial (degree resolved by the caller)."""
+    def homogeneous(self, variables: tuple[str, ...]):
+        """Parse a homogeneous polynomial: a HomogeneousPoly3 in the plane
+        variables, a HomogeneousPoly2 in (s, u), None if it is zero."""
+        tok = self.peek()
+        terms = self.parse_poly(variables)
         if not terms:
             return None
-        degrees = {es + eu for es, eu in terms}
+        degrees = {sum(e) for e in terms}
         if len(degrees) != 1:
-            raise self.error(tok, "polynomial is not homogeneous in s, u")
+            raise self.error(tok, f"polynomial is not homogeneous in {', '.join(variables)}")
         d = degrees.pop()
+        if variables == _PLANE_VARIABLES:
+            return HomogeneousPoly3(d, tuple(terms.items()))
         coeffs = [Fraction(0)] * (d + 1)
         for (es, _), c in terms.items():
             coeffs[es] = c
         return HomogeneousPoly2(d, tuple(coeffs))
 
-    def homogeneous3(self, terms: dict[tuple[int, ...], Fraction], tok: Token) -> HomogeneousPoly3:
-        if not terms:
-            raise self.error(tok, "defining form must be nonzero")
-        degrees = {i + j + k for i, j, k in terms}
-        if len(degrees) != 1:
-            raise self.error(tok, "polynomial is not homogeneous in x0, x1, x2")
-        d = degrees.pop()
-        return HomogeneousPoly3(d, tuple(terms.items()))
-
     # -- declarations
 
     def parse_document(self) -> None:
+        """Read ``<kind> <name> { ... }`` declarations.  ``_parse_<kind>``
+        reads the body and returns the build step that ``_declare`` runs; a
+        twostage queues its build instead, declared once every upper
+        fibration is known."""
         while not self.at("EOF"):
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in _DECL_KEYWORDS:
-                self.report(
-                    Diagnostic(
-                        "error",
-                        tok.line,
-                        tok.col,
-                        f"expected a declaration keyword, found {tok.text!r}",
-                    )
-                )
-                self.advance()
+            kw = self.advance()
+            if kw.kind != "IDENT" or kw.text not in _DECL_KEYWORDS:
+                self.report(_diag(kw, f"expected a declaration keyword, found {kw.text!r}"))
                 self.skip_declaration()
                 continue
             try:
-                getattr(self, f"_parse_{tok.text}")()
+                name = self.expect("IDENT", what="declaration name")
+                self.expect("LBRACE")
+                build = getattr(self, f"_parse_{kw.text}")(name)
             except _Abort as abort:
                 self.report(abort.diagnostic)
                 self.skip_declaration()
-        self._resolve_twostages()
+                continue
+            if build is not None:
+                self._declare(kw.text, name, build)
+        for name, build in self.twostages:
+            self._declare("twostage", name, build)
 
-    def _decl_header(self) -> tuple[str, Token]:
-        kw = self.advance()
-        name_tok = self.expect("IDENT", what="declaration name")
-        self.expect("LBRACE")
-        return name_tok.text, name_tok
-
-    def _register(self, kind: str, name: str, tok: Token, value) -> None:
-        if self.document.kinds_of(name):
-            self.report(
-                Diagnostic("error", tok.line, tok.col, f"duplicate declaration name {name!r}")
-            )
+    def _declare(self, kind: str, name: Token, build: Callable[[], object]) -> None:
+        """File ``build()`` under the declared name; a DomainError from the
+        build and a name declared before are reported at the name."""
+        try:
+            value = build()
+        except DomainError as exc:
+            self.report(_diag(name, str(exc)))
             return
-        getattr(self.document, kind)[name] = value
+        if self.document.kinds_of(name.text):
+            self.report(_diag(name, f"duplicate declaration name {name.text!r}"))
+            return
+        getattr(self.document, kind + "s")[name.text] = value
 
     def _statement_loop(self, handler) -> None:
-        """Run per-statement handlers until the closing brace, recovering at
-        semicolons so one bad statement does not lose the declaration."""
+        """Run per-statement handlers until the closing brace; a bad
+        statement is skipped so it does not lose the declaration."""
         while not self.at("RBRACE") and not self.at("EOF"):
             try:
                 handler()
@@ -449,51 +464,56 @@ class _Parser:
                 self.skip_statement()
         self.expect("RBRACE")
 
-    def _parse_curve(self) -> None:
-        name, name_tok = self._decl_header()
+    def _fields(self, names: tuple[str, ...], what: str, read) -> dict:
+        """Read ``<field> <value>;`` statements, one per field of ``names``;
+        a field whose statement fails is left out."""
+        values: dict = {}
+
+        def stmt() -> None:
+            tok = self.keyword(*names)
+            if tok.text in values:
+                raise self.error(tok, f"duplicate {what} {tok.text}")
+            value = read(tok)
+            self.expect("SEMI")
+            values[tok.text] = value
+
+        self._statement_loop(stmt)
+        return values
+
+    def _parse_curve(self, name: Token):
         genus: int | None = None
         points: list[tuple[str, Multiplicity]] = []
 
         def stmt() -> None:
             nonlocal genus
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text == "genus":
-                self.advance()
+            tok = self.keyword("genus", "point")
+            if tok.text == "genus":
                 genus = self.parse_int("genus")
                 self.expect("SEMI")
-            elif tok.kind == "IDENT" and tok.text == "point":
-                self.advance()
-                label = self.expect("IDENT", what="point label").text
-                self.expect("IDENT", "mult")
-                mult = self.parse_multiplicity()
-                self.expect("SEMI")
-                if any(lbl == label for lbl, _ in points):
-                    raise self.error(tok, f"duplicate point label {label!r}")
-                points.append((label, mult))
-            else:
-                raise self.error(tok, f"expected 'genus' or 'point', found {tok.text!r}")
+                return
+            label = self.expect("IDENT", what="point label").text
+            self.expect("IDENT", "mult")
+            mult = self.parse_multiplicity()
+            self.expect("SEMI")
+            if any(lbl == label for lbl, _ in points):
+                raise self.error(tok, f"duplicate point label {label!r}")
+            points.append((label, mult))
 
         self._statement_loop(stmt)
-        if genus is None:
-            self.report(
-                Diagnostic("error", name_tok.line, name_tok.col, f"curve {name!r} has no genus")
-            )
-            return
-        try:
-            value = CurveOrbifold(genus, OrbifoldDivisor(points))
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        self._register("curves", name, name_tok, value)
 
-    def _parse_plane(self) -> None:
-        name, name_tok = self._decl_header()
+        def build() -> CurveOrbifold:
+            if genus is None:
+                raise DomainError(f"curve {name.text!r} has no genus")
+            return CurveOrbifold(genus, OrbifoldDivisor(points))
+
+        return build
+
+    def _parse_plane(self, name: Token):
         components: list[tuple[str, int, Multiplicity]] = []
         forms: dict[str, HomogeneousPoly3] = {}
 
         def stmt() -> None:
-            tok = self.peek()
-            self.expect("IDENT", "component")
+            tok = self.expect("IDENT", "component")
             label = self.expect("IDENT", what="component label").text
             self.expect("IDENT", "degree")
             degree = self.parse_int("degree")
@@ -503,8 +523,9 @@ class _Parser:
             if self.at("IDENT", "form"):
                 self.advance()
                 poly_tok = self.peek()
-                terms = self.parse_poly(("x0", "x1", "x2"))
-                form = self.homogeneous3(terms, poly_tok)
+                form = self.homogeneous(_PLANE_VARIABLES)
+                if form is None:
+                    raise self.error(poly_tok, "defining form must be nonzero")
                 if form.degree != degree:
                     raise self.error(
                         poly_tok,
@@ -518,26 +539,19 @@ class _Parser:
                 forms[label] = form
 
         self._statement_loop(stmt)
-        try:
-            pair = PlaneArrangementPair(components)
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        kept = {c.label for c in pair.components}
-        self._register(
-            "planes",
-            name,
-            name_tok,
-            PlaneDecl(pair, {lbl: f for lbl, f in forms.items() if lbl in kept}),
-        )
 
-    def _parse_fibration(self) -> None:
-        name, name_tok = self._decl_header()
+        def build() -> PlaneDecl:
+            pair = PlaneArrangementPair(components)
+            kept = {c.label for c in pair.components}
+            return PlaneDecl(pair, {lbl: f for lbl, f in forms.items() if lbl in kept})
+
+        return build
+
+    def _parse_fibration(self, name: Token):
         fibers: dict[str, list[tuple[int, Multiplicity]]] = {}
 
         def over_block() -> None:
-            tok = self.peek()
-            self.expect("IDENT", "over")
+            tok = self.expect("IDENT", "over")
             label = self.expect("IDENT", what="base divisor label").text
             if label in fibers:
                 raise self.error(tok, f"duplicate base divisor {label!r}")
@@ -559,220 +573,121 @@ class _Parser:
             fibers[label] = parts
 
         self._statement_loop(over_block)
-        try:
-            value = FibrationData(fibers)
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        self._register("fibrations", name, name_tok, value)
+        return lambda: FibrationData(fibers)
 
-    def _parse_twostage(self) -> None:
-        name, name_tok = self._decl_header()
+    def _parse_twostage(self, name: Token) -> None:
         lower: dict[str, list[tuple[int, str]]] = {}
         upper_name: str | None = None
 
         def stmt() -> None:
             nonlocal upper_name
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text == "lower":
-                self.advance()
-                z_label = self.expect("IDENT", what="Z-divisor label").text
-                if z_label in lower:
-                    raise self.error(tok, f"duplicate Z-divisor {z_label!r}")
-                self.expect("LBRACE")
-                parts: list[tuple[int, str]] = []
-
-                def lower_stmt() -> None:
-                    self.expect("IDENT", "s")
-                    s = self.parse_int("coefficient s")
-                    self.expect("ARROW")
-                    y_label = self.expect("IDENT", what="Y-divisor label").text
-                    self.expect("SEMI")
-                    parts.append((s, y_label))
-
-                self._statement_loop(lower_stmt)
-                if not parts:
-                    raise self.error(tok, f"Z-divisor {z_label!r} has no components")
-                lower[z_label] = parts
-            elif tok.kind == "IDENT" and tok.text == "upper":
-                self.advance()
+            tok = self.keyword("lower", "upper")
+            if tok.text == "upper":
                 self.expect("EQUALS")
                 upper_name = self.expect("IDENT", what="fibration name").text
                 if self.at("SEMI"):
                     self.advance()
-            else:
-                raise self.error(tok, f"expected 'lower' or 'upper', found {tok.text!r}")
+                return
+            z_label = self.expect("IDENT", what="Z-divisor label").text
+            if z_label in lower:
+                raise self.error(tok, f"duplicate Z-divisor {z_label!r}")
+            self.expect("LBRACE")
+            parts: list[tuple[int, str]] = []
+
+            def lower_stmt() -> None:
+                self.expect("IDENT", "s")
+                s = self.parse_int("coefficient s")
+                self.expect("ARROW")
+                y_label = self.expect("IDENT", what="Y-divisor label").text
+                self.expect("SEMI")
+                parts.append((s, y_label))
+
+            self._statement_loop(lower_stmt)
+            if not parts:
+                raise self.error(tok, f"Z-divisor {z_label!r} has no components")
+            lower[z_label] = parts
 
         self._statement_loop(stmt)
         if upper_name is None:
-            self.report(
-                Diagnostic(
-                    "error", name_tok.line, name_tok.col, f"twostage {name!r} has no upper fibration"
-                )
-            )
+            self.report(_diag(name, f"twostage {name.text!r} has no upper fibration"))
             return
-        self.pending_twostages.append((name, upper_name, lower, name_tok))
 
-    def _parse_morphism(self) -> None:
-        name, name_tok = self._decl_header()
-        pairs: list[MorphismPair] = []
-        divisors: dict[str, list[tuple[str, Multiplicity]]] = {"dX": [], "dY": []}
-        seen_blocks: set[str] = set()
+        def build() -> TwoStageDecl:
+            upper = self.document.fibrations.get(upper_name)
+            if upper is None:
+                raise DomainError(f"unknown upper fibration {upper_name!r}")
+            return TwoStageDecl(upper_name, TwoStageData(upper, lower))
+
+        self.twostages.append((name, build))  # the upper fibration may come later
+
+    def _parse_morphism(self, name: Token):
+        pairs: list[tuple[str, str, int]] = []
+        divisors: dict[str, list[tuple[str, Multiplicity]]] = {}
 
         def stmt() -> None:
-            tok = self.peek()
-            if tok.kind == "IDENT" and tok.text == "pair":
-                self.advance()
+            tok = self.keyword("pair", "dX", "dY")
+            if tok.text == "pair":
                 y_label = self.expect("IDENT", what="Y-divisor label").text
                 x_label = self.expect("IDENT", what="X-divisor label").text
                 self.expect("IDENT", "t")
                 t = self.parse_int("coefficient t")
                 self.expect("SEMI")
-                pairs.append(MorphismPair(y_label, x_label, t))
-            elif tok.kind == "IDENT" and tok.text in ("dX", "dY"):
-                which = tok.text
-                self.advance()
-                if which in seen_blocks:
-                    raise self.error(tok, f"duplicate {which} block")
-                seen_blocks.add(which)
-                self.expect("LBRACE")
+                pairs.append((y_label, x_label, t))
+                return
+            if tok.text in divisors:
+                raise self.error(tok, f"duplicate {tok.text} block")
+            marks = divisors[tok.text] = []
+            self.expect("LBRACE")
 
-                def mult_stmt() -> None:
-                    label = self.expect("IDENT", what="divisor label").text
-                    self.expect("IDENT", "mult")
-                    mult = self.parse_multiplicity()
-                    self.expect("SEMI")
-                    if any(lbl == label for lbl, _ in divisors[which]):
-                        raise self.error(tok, f"duplicate label {label!r} in {which}")
-                    divisors[which].append((label, mult))
+            def mult_stmt() -> None:
+                label = self.expect("IDENT", what="divisor label").text
+                self.expect("IDENT", "mult")
+                mult = self.parse_multiplicity()
+                self.expect("SEMI")
+                if any(lbl == label for lbl, _ in marks):
+                    raise self.error(tok, f"duplicate label {label!r} in {tok.text}")
+                marks.append((label, mult))
 
-                self._statement_loop(mult_stmt)
-            else:
-                raise self.error(tok, f"expected 'pair', 'dX' or 'dY', found {tok.text!r}")
+            self._statement_loop(mult_stmt)
 
         self._statement_loop(stmt)
-        try:
-            value = MorphismData(
-                tuple(pairs), OrbifoldDivisor(divisors["dX"]), OrbifoldDivisor(divisors["dY"])
-            )
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        self._register("morphisms", name, name_tok, value)
+        return lambda: MorphismData(
+            tuple(MorphismPair(*pair) for pair in pairs),
+            OrbifoldDivisor(divisors.get("dX", [])),
+            OrbifoldDivisor(divisors.get("dY", [])),
+        )
 
-    def _parse_paramcurve(self) -> None:
-        name, name_tok = self._decl_header()
-        coords: dict[str, HomogeneousPoly2 | None] = {}
-        coord_tokens: dict[str, Token] = {}
-
-        def stmt() -> None:
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in ("x0", "x1", "x2"):
-                raise self.error(tok, f"expected 'x0', 'x1' or 'x2', found {tok.text!r}")
-            which = tok.text
-            self.advance()
-            if which in coords:
-                raise self.error(tok, f"duplicate coordinate {which}")
+    def _parse_paramcurve(self, name: Token):
+        def coordinate(_: Token) -> HomogeneousPoly2 | None:
             self.expect("EQUALS")
-            poly_tok = self.peek()
-            terms = self.parse_poly(("s", "u"))
-            form = self.homogeneous2(terms, poly_tok)
-            self.expect("SEMI")
-            coords[which] = form
-            coord_tokens[which] = poly_tok
+            return self.homogeneous(("s", "u"))
 
-        self._statement_loop(stmt)
-        missing = [c for c in ("x0", "x1", "x2") if c not in coords]
-        if missing:
-            self.report(
-                Diagnostic(
-                    "error",
-                    name_tok.line,
-                    name_tok.col,
-                    f"paramcurve {name!r} is missing {', '.join(missing)}",
-                )
-            )
-            return
-        degrees = {f.degree for f in coords.values() if f is not None}
-        if not degrees:
-            self.report(
-                Diagnostic(
-                    "error", name_tok.line, name_tok.col, f"paramcurve {name!r} is identically zero"
-                )
-            )
-            return
-        if len(degrees) != 1:
-            self.report(
-                Diagnostic(
-                    "error",
-                    name_tok.line,
-                    name_tok.col,
-                    f"coordinate degrees differ: {sorted(degrees)}",
-                )
-            )
-            return
-        d = degrees.pop()
-        filled = {
-            which: (f if f is not None else HomogeneousPoly2.zero(d))
-            for which, f in coords.items()
-        }
-        try:
-            value = ParamPlaneCurve(filled["x0"], filled["x1"], filled["x2"])
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        self._register("paramcurves", name, name_tok, value)
+        coords = self._fields(_PLANE_VARIABLES, "coordinate", coordinate)
 
-    def _parse_mordell(self) -> None:
-        name, name_tok = self._decl_header()
-        values: dict[str, int] = {}
+        def build() -> ParamPlaneCurve:
+            _require(coords, _PLANE_VARIABLES, f"paramcurve {name.text!r}")
+            degrees = {f.degree for f in coords.values() if f is not None}
+            if not degrees:
+                raise DomainError(f"paramcurve {name.text!r} is identically zero")
+            # a zero coordinate takes the top degree; ParamPlaneCurve
+            # rejects coordinates of differing degrees
+            d = max(degrees)
+            return ParamPlaneCurve(*(coords[c] or HomogeneousPoly2.zero(d) for c in _PLANE_VARIABLES))
 
-        def stmt() -> None:
-            tok = self.peek()
-            if tok.kind != "IDENT" or tok.text not in ("p", "q", "r"):
-                raise self.error(tok, f"expected 'p', 'q' or 'r', found {tok.text!r}")
-            which = tok.text
-            self.advance()
-            if which in values:
-                raise self.error(tok, f"duplicate field {which}")
-            values[which] = self.parse_int(which)
-            self.expect("SEMI")
+        return build
 
-        self._statement_loop(stmt)
-        missing = [c for c in ("p", "q", "r") if c not in values]
-        if missing:
-            self.report(
-                Diagnostic(
-                    "error",
-                    name_tok.line,
-                    name_tok.col,
-                    f"mordell {name!r} is missing {', '.join(missing)}",
-                )
-            )
-            return
-        try:
-            value = OrbifoldP1Triple(values["p"], values["q"], values["r"])
-        except DomainError as exc:
-            self.report(Diagnostic("error", name_tok.line, name_tok.col, str(exc)))
-            return
-        self._register("mordells", name, name_tok, value)
+    def _parse_mordell(self, name: Token):
+        values = self._fields(("p", "q", "r"), "field", lambda tok: self.parse_int(tok.text))
 
-    def _resolve_twostages(self) -> None:
-        for name, upper_name, lower, tok in self.pending_twostages:
-            upper = self.document.fibrations.get(upper_name)
-            if upper is None:
-                self.report(
-                    Diagnostic(
-                        "error", tok.line, tok.col, f"unknown upper fibration {upper_name!r}"
-                    )
-                )
-                continue
-            try:
-                data = TwoStageData(upper, lower)
-            except DomainError as exc:
-                self.report(Diagnostic("error", tok.line, tok.col, str(exc)))
-                continue
-            self._register("twostages", name, tok, TwoStageDecl(upper_name, data))
+        def build() -> OrbifoldP1Triple:
+            _require(values, ("p", "q", "r"), f"mordell {name.text!r}")
+            return OrbifoldP1Triple(values["p"], values["q"], values["r"])
+
+        return build
+
+
+def _degree(terms: dict[tuple[int, ...], Fraction]) -> int:
+    return max((sum(e) for e in terms), default=0)
 
 
 def _poly_mul(

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from orbpairs.cli import main
+from timeguard import time_guard
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -167,6 +168,37 @@ class TestExitCodes:
         assert code == 2
         assert "nested deeper than" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "source,diagnostic",
+        [
+            ("curve c { genus 0; point P mult 2; { P mult 3; }",
+             "1:36: error: expected 'genus' or 'point', found '{'"),
+            ("curve c { genus { ; point P mult 2; }", "1:17: error: expected genus, found '{'"),
+            ("morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }",
+             "1:45: error: duplicate dX block"),
+            ("fibration g { over D { part t 1 mult 2; } over D { part t 1 mult 2; } }",
+             "1:43: error: duplicate base divisor 'D'"),
+            ("morphism m { pair E D t 0; }",
+             "1:10: error: pullback coefficient must be a positive integer, got 0"),
+            ("curve c { genus " + "1" * 5000 + "; }",
+             "1:17: error: cannot read the 5000-digit integer literal"),
+            ("paramcurve c { x0 = (s+u)^100000; x1 = u; x2 = s; }",
+             "1:26: error: exponent exceeds the limit of 1000"),
+        ],
+    )
+    def test_bad_spec_is_a_spanned_parse_error(self, tmp_path, capsys, source, diagnostic):
+        src = tmp_path / "bad.orb"
+        src.write_text(source)
+        with time_guard(5):
+            code = main(["-f", str(src), "classify", "c"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"{src}:{diagnostic}"
+
+    def test_overlong_mults_are_domain_error(self, capsys):
+        code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2," + "1" * 5000])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: multiplicities must be comma-separated")
+
     def test_factoring_failure_is_reported(self, tmp_path, capsys, monkeypatch):
         from orbpairs import polynomials
 
@@ -213,3 +245,8 @@ class TestSymdiffLimitOverride:
         assert "exceeds the limit" in capsys.readouterr().err
         monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", "400")
         assert main(argv) == 0
+
+    def test_overlong_env_value_is_domain_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", "1" * 5000)
+        assert main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2,2"]) == 1
+        assert capsys.readouterr().err.startswith("error: ORBPAIRS_SYMDIFF_LIMIT must be an integer")

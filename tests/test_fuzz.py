@@ -1,0 +1,94 @@
+"""Fuzzing the spec parser and the command line.
+
+Every input must end as an answer (exit 0), a domain error (exit 1) or a
+spanned parse diagnostic (exit 2): never a traceback and never a hang.  Each
+example runs under a time guard, so a hang fails the test instead of
+stalling the suite.
+"""
+
+import io
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from orbpairs.cli import COMMANDS, main
+from orbpairs.specparse import parse
+from timeguard import time_guard
+
+SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+KEYWORDS = [
+    "curve", "plane", "fibration", "twostage", "morphism", "paramcurve", "mordell",
+    "genus", "point", "mult", "inf", "component", "degree", "form", "over", "part", "t",
+    "lower", "upper", "s", "pair", "dX", "dY", "x0", "x1", "x2", "p", "q", "r", "u",
+]
+WORDS = KEYWORDS + [
+    "c", "D", "E", "g", "{", "}", ";", "=", "/", "*", "^", "+", "-", "(", ")", "->", "#",
+    "0", "1", "2", "3", "7", "24", "1/2", "3/0", "99999999", "1" * 5000, "@", "²", "0.5",
+]
+
+
+def soup(words):
+    return st.lists(st.sampled_from(words), max_size=60).map(" ".join)
+
+
+# declaration-shaped soup reaches the statement handlers more often
+DECLARATION = st.builds(
+    "{} n {{ {} }}".format,
+    st.sampled_from(KEYWORDS[:7]),
+    soup(WORDS),
+)
+
+
+@given(st.one_of(soup(WORDS), DECLARATION, st.lists(DECLARATION, max_size=4).map("\n".join), st.text()))
+@settings(max_examples=400, deadline=None)
+def test_parse_always_returns(source):
+    with time_guard(2):
+        result = parse(source)
+    assert all(d.severity == "error" for d in result.diagnostics)
+
+
+VALUES = [
+    "n", "c", "pencil12", "chain", "doublecover", "gt237", "search273", "fano3357",
+    "lines234", "node234", "nodeline", "twologlines", "inf", "gcd", "classical", "Z", "Q",
+    "plus", "minus", "0", "1", "2", "3", "-1", "10", "105", "2,2", "2,x", "1" * 5000,
+]
+FLAGS = ["-f", "/nonexistent.orb", "--json", "--help", "--mode", "--against", "--variant",
+         "--max-a", "--max-b", "--max", "--sign", "--p", "--q", "--limit", "--density",
+         "--mults", "--extra", "--degree"]
+SPEC_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.orb"))]
+
+
+@st.composite
+def command_lines(draw):
+    """A command with values for its arguments, then a few random words;
+    an unstructured word list would rarely get past argparse."""
+    name, _, _, arguments = draw(st.sampled_from(COMMANDS))
+    argv = [name]
+    for flags, options in arguments:
+        if flags[0].startswith("-"):
+            if not options.get("required") and draw(st.booleans()):
+                continue
+            argv.append(flags[0])
+        if options.get("action") != "store_true":
+            argv.append(draw(st.sampled_from(VALUES)))
+    return argv + draw(st.lists(st.sampled_from(FLAGS + VALUES), max_size=3))
+
+
+@given(
+    st.one_of(st.sampled_from(SPEC_TEXTS), st.lists(DECLARATION, max_size=3).map("\n".join)),
+    st.one_of(command_lines(), st.lists(st.sampled_from(FLAGS + VALUES), max_size=8)),
+)
+@settings(max_examples=300, deadline=None)
+def test_main_exits_0_1_or_2(spec, argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.orb"
+        path.write_text(spec, encoding="utf-8")
+        with time_guard(5), redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            try:
+                code = main(["-f", str(path), *argv])
+            except SystemExit as exc:  # argparse: usage errors and --help
+                code = exc.code
+    assert code in (0, 1, 2)

@@ -1,11 +1,16 @@
+import json
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from orbpairs.curveclass import CurveOrbifold
 from orbpairs.orbcore import INFINITY, Multiplicity, OrbifoldDivisor
 from orbpairs.specparse import Diagnostic, format_document, parse
+from timeguard import time_guard
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+GOLDEN_DIAGNOSTICS = Path(__file__).resolve().parent / "golden" / "diagnostics.json"
 
 
 class TestBasicDeclarations:
@@ -138,11 +143,107 @@ class TestDiagnostics:
             assert source[diag.col - 1] == "(" and diag.col == 21 + 100
             assert "d" in result.document.paramcurves
 
+    @pytest.mark.parametrize(
+        "source,expected",
+        [
+            (
+                "curve c { genus 0; point P mult 2; { P mult 3; }",
+                ["1:36: error: expected 'genus' or 'point', found '{'",
+                 "1:49: error: expected rbrace, found ''"],
+            ),
+            (
+                "curve c { genus { ; point P mult 2; }",
+                ["1:17: error: expected genus, found '{'", "1:38: error: expected rbrace, found ''"],
+            ),
+            (
+                "morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }",
+                ["1:45: error: duplicate dX block"],
+            ),
+            (
+                "fibration g { over D { part t 1 mult 2; } over D { part t 1 mult 2; } }",
+                ["1:43: error: duplicate base divisor 'D'"],
+            ),
+        ],
+    )
+    def test_recovery_skips_brace_blocks(self, source, expected):
+        # recovery that stops at '{' used to retry the same token forever
+        with time_guard(5):
+            result = parse(source)
+        assert [str(d) for d in result.diagnostics] == expected
+
+    def test_recovery_keeps_the_first_block(self):
+        with time_guard(5):
+            result = parse("morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }")
+        assert result.document.morphisms["m"].delta_x == OrbifoldDivisor({"D": 2})
+
+    def test_pair_error_is_reported_at_the_name(self):
+        # used to escape parse() as a bare DomainError, losing the other diagnostics
+        result = parse("morphism m { pair E D t 0; }\ncurve c { genus 0; point P mult 0; }")
+        assert [str(d) for d in result.diagnostics] == [
+            "1:10: error: pullback coefficient must be a positive integer, got 0",
+            "2:33: error: multiplicity 0 is below 1",
+        ]
+
+    @pytest.mark.parametrize(
+        "source,col",
+        [
+            ("curve c {{ genus {}; }}", 17),
+            ("curve c {{ genus 0; point P mult 3/{}; }}", 35),
+            ("paramcurve c {{ x0 = {}*s; x1 = u; x2 = s; }}", 21),
+            ("paramcurve c {{ x0 = s^{}; x1 = u; x2 = s; }}", 23),
+            ("plane f {{ component L degree {} mult 2; }}", 30),
+        ],
+    )
+    def test_overlong_integer_literal(self, source, col):
+        # past the interpreter's 4300-digit int conversion limit
+        result = parse(source.format("1" * 5000))
+        assert str(result.diagnostics[0]) == f"1:{col}: error: cannot read the 5000-digit integer literal"
+
+    @pytest.mark.parametrize(
+        "poly,expected",
+        [
+            ("(s+u)^100000", "1:26: error: exponent exceeds the limit of 1000"),
+            ("9^99999999*s", "1:22: error: exponent exceeds the limit of 1000"),
+            ("(s^40)^40", "1:27: error: polynomial degree 1600 exceeds the limit of 1000"),
+            ("s^600*u^600", "1:26: error: polynomial degree 1200 exceeds the limit of 1000"),
+            ("s^500*s^500*s", "1:32: error: polynomial degree 1001 exceeds the limit of 1000"),
+        ],
+    )
+    def test_degree_cap(self, poly, expected):
+        with time_guard(5):
+            result = parse(f"paramcurve c {{ x0 = {poly}; x1 = u; x2 = s; }}")
+        assert [str(d) for d in result.diagnostics] == [
+            expected, "1:12: error: paramcurve 'c' is missing x0"
+        ]
+
+    def test_degree_at_the_cap(self):
+        result = parse("paramcurve c { x0 = s^1000; x1 = s^500*u^500; x2 = u^1000; }")
+        assert result.ok
+        assert result.document.paramcurves["c"].degree == 1000
+
+    def test_field_without_semicolon_is_missing(self):
+        # as for paramcurve coordinates, a field counts only once its
+        # statement has parsed completely
+        result = parse("mordell m { p 2 q 3; r 7; }")
+        assert [str(d) for d in result.diagnostics] == [
+            "1:17: error: expected semi, found 'q'",
+            "1:9: error: mordell 'm' is missing p, q",
+        ]
+
     def test_long_unary_minus_chain(self):
         result = parse("paramcurve c { x0 = " + "-" * 5001 + "s; x1 = u; x2 = s+u; }")
         plain = parse("paramcurve c { x0 = -s; x1 = u; x2 = s+u; }")
         assert result.ok
         assert result.document == plain.document
+
+
+class TestGoldenDiagnostics:
+    def test_matches_golden(self):
+        # tests/golden/diagnostics.json maps malformed specs to the exact
+        # diagnostics they produce, at least one for every message
+        expected = GOLDEN_DIAGNOSTICS.read_text(encoding="utf-8")
+        actual = {src: [str(d) for d in parse(src).diagnostics] for src in json.loads(expected)}
+        assert json.dumps(actual, indent=2) + "\n" == expected
 
 
 class TestRoundTrip:
