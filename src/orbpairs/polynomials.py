@@ -4,15 +4,18 @@ Univariate polynomials are tuples of coefficients in ascending degree: over Q
 they hold Fractions, over Z and modulo a prime they hold ints, and one
 schoolbook multiply serves all three.  Homogeneous binary forms in (s, u)
 wrap such a tuple indexed by the s-power; homogeneous ternary forms in
-(x0, x1, x2) are sparse monomial maps.  Full factorization over Q is
-implemented here and runs on integers after the content is split off once
-at entry: Yun squarefree decomposition with primitive pseudo-remainder gcds
-and exact integer division, Berlekamp factoring modulo the first odd prime
-that keeps the part squarefree (the search is open-ended: only the finitely
-many primes dividing lc * discriminant are unusable), linear Hensel lifting
-past the Mignotte bound, and subset recombination by exact integer trial
-division.  Every factorization is verified by multiplying back before it is
-returned.
+(x0, x1, x2) are sparse monomial maps.  Pulling a ternary form back along a
+parametrization runs over Z: the coordinates' denominators are cleared
+once, powers are built incrementally, and the terms are summed as integers
+over one common denominator.  Full factorization over Q is implemented here
+and runs on integers after the content is split off once at entry: Yun
+squarefree decomposition with primitive pseudo-remainder gcds and exact
+integer division, Berlekamp factoring modulo the first odd prime that keeps
+the part squarefree (the search is open-ended: only the finitely many primes
+dividing lc * discriminant are unusable), linear Hensel lifting past the
+Mignotte bound, and subset recombination by exact integer trial division
+after a trailing-coefficient test.  Every factorization is verified by
+multiplying back before it is returned.
 """
 
 from __future__ import annotations
@@ -72,14 +75,6 @@ def qpoly(coeffs: Iterable[Fraction | int]) -> QPoly:
 def qdeg(f: QPoly) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(f) - 1
-
-
-def qmul(f: QPoly, g: QPoly) -> QPoly:
-    return qpoly(_mul(f, g))
-
-
-def qscale(f: QPoly, c: Fraction | int) -> QPoly:
-    return qpoly([a * c for a in f])
 
 
 def _primitive(f: Sequence[int]) -> IPoly:
@@ -392,6 +387,10 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
             candidate = _primitive([_symmetric(c, pk) for c in prod])
             if len(candidate) < 2:
                 continue
+            # a true factor's trailing coefficient divides remaining's
+            # (Abbott-Shoup-Zimmermann); most false candidates fail this
+            if candidate[0] and remaining[0] % candidate[0]:
+                continue
             quo = _divide(remaining, candidate)
             if quo is not None:
                 result.append(candidate)
@@ -456,10 +455,6 @@ class HomogeneousPoly2:
         return cls(degree, (Fraction(0),) * (degree + 1))
 
     @classmethod
-    def one(cls) -> "HomogeneousPoly2":
-        return cls(0, (Fraction(1),))
-
-    @classmethod
     def variable(cls, name: str) -> "HomogeneousPoly2":
         if name == "s":
             return cls(1, (Fraction(0), Fraction(1)))
@@ -473,22 +468,6 @@ class HomogeneousPoly2:
 
     def mul(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
         return HomogeneousPoly2(self.degree + other.degree, tuple(_mul(self.coeffs, other.coeffs)))
-
-    def add(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
-        if self.degree != other.degree:
-            raise DomainError("cannot add forms of different degrees")
-        return HomogeneousPoly2(
-            self.degree, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def scale(self, c: Fraction | int) -> "HomogeneousPoly2":
-        return HomogeneousPoly2(self.degree, tuple(a * c for a in self.coeffs))
-
-    def power(self, e: int) -> "HomogeneousPoly2":
-        result = HomogeneousPoly2.one()
-        for _ in range(e):
-            result = result.mul(self)
-        return result
 
     def canonical(self) -> "HomogeneousPoly2":
         """Primitive integer form, positive at the top s-power: the canonical
@@ -583,26 +562,43 @@ class HomogeneousPoly3:
         x2: HomogeneousPoly2,
     ) -> HomogeneousPoly2:
         """Pull the form back along a degree-d parametrization; the result is
-        homogeneous of degree d * deg(form) in (s, u)."""
+        homogeneous of degree d * deg(form) in (s, u).
+
+        Runs over Z: each coordinate is written x_m = X_m / L_m with integer
+        X_m, the powers X_m^e the form uses are built one multiply apart, and
+        each term c * X0^i X1^j X2^k is added into one integer coefficient
+        list with weight c * L0^(n-i) L1^(n-j) L2^(n-k) over the common
+        denominator D * (L0 L1 L2)^n, D the lcm of the form's denominators."""
         if not (x0.degree == x1.degree == x2.degree):
             raise DomainError("parametrization coordinates must share one degree")
-        d = x0.degree
-        total = HomogeneousPoly2.zero(d * self.degree)
-        powers: dict[tuple[int, int], HomogeneousPoly2] = {}
-
-        def power_of(which: int, e: int) -> HomogeneousPoly2:
-            key = (which, e)
-            if key not in powers:
-                powers[key] = (x0, x1, x2)[which].power(e)
-            return powers[key]
-
-        for (i, j, k), c in self.terms:
-            term = HomogeneousPoly2.one()
-            for which, e in ((0, i), (1, j), (2, k)):
+        n = self.degree
+        scales = [math.lcm(*(c.denominator for c in x.coeffs)) for x in (x0, x1, x2)]
+        powers: list[dict[int, list[int]]] = []
+        for m, (x, scale) in enumerate(zip((x0, x1, x2), scales)):
+            ints = [c.numerator * (scale // c.denominator) for c in x.coeffs]
+            used = {expo[m] for expo, _ in self.terms}
+            # keep only the exponents in use, so a sparse high-degree form
+            # does not hold every intermediate power
+            power, kept = [1], {}
+            for e in range(max(used, default=0) + 1):
                 if e:
-                    term = term.mul(power_of(which, e))
-            total = total.add(term.scale(c))
-        return total
+                    power = _mul(power, ints)
+                if e in used:
+                    kept[e] = power
+            powers.append(kept)
+        scale_powers = [[scale**e for e in range(n + 1)] for scale in scales]
+        denom = math.lcm(*(c.denominator for _, c in self.terms))
+        total = [0] * (x0.degree * n + 1)
+        for (i, j, k), c in self.terms:
+            weight = (
+                c.numerator * (denom // c.denominator)
+                * scale_powers[0][n - i] * scale_powers[1][n - j] * scale_powers[2][n - k]
+            )
+            for t, v in enumerate(_mul(_mul(powers[0][i], powers[1][j]), powers[2][k])):
+                if v:
+                    total[t] += weight * v
+        common = denom * scale_powers[0][n] * scale_powers[1][n] * scale_powers[2][n]
+        return HomogeneousPoly2(len(total) - 1, tuple(Fraction(v, common) for v in total))
 
     def __str__(self) -> str:
         return render_poly3(self)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
@@ -39,6 +39,12 @@ _MAX_PAREN_DEPTH = 100
 # Exponents and the degree of every product and power are capped here, and
 # checked before expanding, so the input alone cannot set unbounded work.
 _MAX_DEGREE = 1000
+
+# Numerators and denominators that +, -, * and ^ build are capped at the
+# length of the longest integer literal, the most the interpreter converts
+# to a string, so every coefficient the parser accepts can be printed.
+_MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10**_MAX_COEFF_DIGITS
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,7 @@ class _Parser:
             sign = 1 if op.kind == "PLUS" else -1
             for e, c in rhs.items():
                 terms[e] = terms.get(e, Fraction(0)) + sign * c
+            self._check_coefficients(op, (terms[e] for e in rhs))
         return terms
 
     def _poly_term(self, variables) -> dict[tuple[int, ...], Fraction]:
@@ -345,7 +352,7 @@ class _Parser:
             op = self.advance()
             rhs = self._poly_unary(variables)
             self._check_degree(op, _degree(result) + _degree(rhs))
-            result = _poly_mul(result, rhs)
+            result = self._product(op, result, rhs)
         return result
 
     def _poly_unary(self, variables) -> dict[tuple[int, ...], Fraction]:
@@ -365,14 +372,29 @@ class _Parser:
         if expo > _MAX_DEGREE:
             raise self.error(op, f"exponent exceeds the limit of {_MAX_DEGREE}")
         self._check_degree(op, _degree(base) * expo)
+        # square and multiply: every square is base^(2^i) with 2^i <= expo,
+        # so the degree check above covers it
         result = {(0,) * len(variables): Fraction(1)}
-        for _ in range(expo):
-            result = _poly_mul(result, base)
+        while expo:
+            if expo & 1:
+                result = self._product(op, result, base)
+            expo >>= 1
+            if expo:
+                base = self._product(op, base, base)
         return result
+
+    def _product(self, op: Token, a, b) -> dict[tuple[int, ...], Fraction]:
+        product = _poly_mul(a, b)
+        self._check_coefficients(op, product.values())
+        return product
 
     def _check_degree(self, op: Token, degree: int) -> None:
         if degree > _MAX_DEGREE:
             raise self.error(op, f"polynomial degree {degree} exceeds the limit of {_MAX_DEGREE}")
+
+    def _check_coefficients(self, op: Token, coeffs: Iterable[Fraction]) -> None:
+        if any(max(abs(c.numerator), c.denominator) >= _COEFF_BOUND for c in coeffs):
+            raise self.error(op, f"coefficient exceeds the limit of {_MAX_COEFF_DIGITS} digits")
 
     def _poly_atom(self, variables) -> dict[tuple[int, ...], Fraction]:
         tok = self.peek()

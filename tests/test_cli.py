@@ -194,6 +194,19 @@ class TestExitCodes:
         assert code == 2
         assert capsys.readouterr().err.splitlines()[0] == f"{src}:{diagnostic}"
 
+    def test_oversized_coefficient_is_a_parse_error(self, tmp_path, capsys):
+        # used to parse, then end in a ValueError traceback from Fraction.__str__
+        src = tmp_path / "big.orb"
+        src.write_text(
+            "plane L { component A degree 1 mult 2 form x0; }\n"
+            "paramcurve c { x0 = (10^1000)^5*s + u; x1 = s; x2 = u; }\n"
+        )
+        code = main(["-f", str(src), "restrict", "c", "--against", "L"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"{src}:2:30: error: coefficient exceeds the limit of 4300 digits"
+        )
+
     def test_overlong_mults_are_domain_error(self, capsys):
         code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2," + "1" * 5000])
         assert code == 1

@@ -51,14 +51,18 @@ def test_parse_always_returns(source):
 
 
 VALUES = [
-    "n", "c", "pencil12", "chain", "doublecover", "gt237", "search273", "fano3357",
+    "n", "c", "L", "pencil12", "chain", "doublecover", "gt237", "search273", "fano3357",
     "lines234", "node234", "nodeline", "twologlines", "inf", "gcd", "classical", "Z", "Q",
     "plus", "minus", "0", "1", "2", "3", "-1", "10", "105", "2,2", "2,x", "1" * 5000,
 ]
 FLAGS = ["-f", "/nonexistent.orb", "--json", "--help", "--mode", "--against", "--variant",
          "--max-a", "--max-b", "--max", "--sign", "--p", "--q", "--limit", "--density",
          "--mults", "--extra", "--degree"]
-SPEC_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.orb"))]
+SPEC_TEXTS = [path.read_text(encoding="utf-8") for path in sorted(SPECS.glob("*.orb"))] + [
+    # a coefficient too long to print, built by ^ from short literals
+    "plane L { component A degree 1 mult 2 form x0; }\n"
+    "paramcurve c { x0 = (10^1000)^5*s + u; x1 = s; x2 = u; }\n",
+]
 
 
 @st.composite

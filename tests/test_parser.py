@@ -216,6 +216,35 @@ class TestDiagnostics:
             expected, "1:12: error: paramcurve 'c' is missing x0"
         ]
 
+    @pytest.mark.parametrize(
+        "poly,expected",
+        [
+            ("(10^1000)^5*s + u", "1:30: error: coefficient exceeds the limit of 4300 digits"),
+            ("(10^1000)^3*(10^1000)^2*s", "1:32: error: coefficient exceeds the limit of 4300 digits"),
+            (f"1/{10**4299 + 7}*s - 1/{10**4299 + 9}*s",
+             "1:4326: error: coefficient exceeds the limit of 4300 digits"),
+        ],
+    )
+    def test_coefficient_cap(self, poly, expected):
+        # a longer coefficient used to parse and then fail to print
+        result = parse(f"paramcurve c {{ x0 = {poly}; x1 = u; x2 = s; }}")
+        assert [str(d) for d in result.diagnostics] == [
+            expected, "1:12: error: paramcurve 'c' is missing x0"
+        ]
+
+    def test_coefficients_at_the_cap(self):
+        longest = "9" * 4300
+        result = parse(f"paramcurve c {{ x0 = {longest}*s + (10^1000)^4*u; x1 = u; x2 = s; }}")
+        assert result.ok
+        assert result.document.paramcurves["c"].x0.coeffs == (10**4000, int(longest))
+
+    def test_power_by_squaring_matches_repeated_products(self):
+        squared = parse("paramcurve c { x0 = (2/3*s - 5*u)^13; x1 = u^13; x2 = s^13; }")
+        repeated = parse(
+            "paramcurve c { x0 = " + "*".join(["(2/3*s - 5*u)"] * 13) + "; x1 = u^13; x2 = s^13; }"
+        )
+        assert squared.ok and squared.document == repeated.document
+
     def test_degree_at_the_cap(self):
         result = parse("paramcurve c { x0 = s^1000; x1 = s^500*u^500; x2 = u^1000; }")
         assert result.ok

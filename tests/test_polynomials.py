@@ -8,21 +8,54 @@ from orbpairs.orbcore import DomainError
 from orbpairs.polynomials import (
     HomogeneousPoly2,
     HomogeneousPoly3,
+    _mul,
     factor_rational,
     poly2_gcd,
     qdeg,
-    qmul,
     qpoly,
-    qscale,
     render_poly2,
     render_poly3,
     squarefree_decomposition,
 )
+from timeguard import time_guard
 
+
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 
 SWINNERTON_DYER_16 = (
     46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1,
 )
+
+
+def qmul(f, g):
+    return qpoly(_mul(f, g))
+
+
+def qscale(f, c):
+    return qpoly([a * c for a in f])
+
+
+def power(form, e):
+    result = HomogeneousPoly2(0, (1,))
+    for _ in range(e):
+        result = result.mul(form)
+    return result
+
+
+def substitute_reference(form, x0, x1, x2):
+    """The power-and-add pullback in Fraction arithmetic: each x_m^e by e
+    multiplications (cached), the terms added one at a time."""
+    powers = {}
+    total = [Fraction(0)] * (x0.degree * form.degree + 1)
+    for (i, j, k), c in form.terms:
+        term = HomogeneousPoly2(0, (1,))
+        for x, e in ((x0, i), (x1, j), (x2, k)):
+            if (id(x), e) not in powers:
+                powers[id(x), e] = power(x, e)
+            term = term.mul(powers[id(x), e])
+        for t, a in enumerate(term.coeffs):
+            total[t] += c * a
+    return HomogeneousPoly2(len(total) - 1, tuple(total))
 
 
 def expand(factors):
@@ -64,6 +97,19 @@ class TestFactorRational:
         for poly, expected in cases:
             _, factors = factor_rational(poly)
             assert sorted(factors) == sorted(expected), poly
+
+    def test_x105_minus_1(self):
+        # the core of s^105 - u^105: thousands of false recombination
+        # candidates, which the trailing-coefficient test rejects before
+        # trial division
+        poly = qpoly([-1] + [0] * 104 + [1])
+        with time_guard(45):
+            _, factors = factor_rational(poly)
+        # the cyclotomic polynomials of 1, 3, 5, 7, 15, 21, 35 and 105
+        assert [(len(f) - 1, e) for f, e in factors] == [
+            (1, 1), (2, 1), (4, 1), (6, 1), (8, 1), (12, 1), (24, 1), (48, 1)
+        ]
+        assert expand(factors) == poly
 
     def test_content_tracking(self):
         content, factors = factor_rational(qscale(qpoly([1, 2, 1]), Fraction(3, 4)))
@@ -145,8 +191,7 @@ class TestHomogeneousForms:
     def test_factor_splits_s_and_u(self):
         # s^2 * u * (s - u)
         form = (
-            HomogeneousPoly2.variable("s")
-            .power(2)
+            power(HomogeneousPoly2.variable("s"), 2)
             .mul(HomogeneousPoly2.variable("u"))
             .mul(HomogeneousPoly2(1, (Fraction(-1), Fraction(1))))
         )
@@ -173,7 +218,7 @@ class TestHomogeneousForms:
     def test_gcd(self):
         s = HomogeneousPoly2.variable("s")
         u = HomogeneousPoly2.variable("u")
-        f = s.power(2).mul(u)
+        f = power(s, 2).mul(u)
         g = s.mul(u).mul(u)
         assert str(poly2_gcd(f, g)) == "s*u"
 
@@ -198,9 +243,9 @@ class TestHomogeneousForms:
             return
         ac, bc = forms[0].mul(forms[2]), forms[1].mul(forms[2])
         exponents = [dict(product.factor()[1]) for product in (ac, bc)]
-        expected = HomogeneousPoly2.one()
+        expected = HomogeneousPoly2(0, (1,))
         for factor, e in exponents[0].items():
-            expected = expected.mul(factor.power(min(e, exponents[1].get(factor, 0))))
+            expected = expected.mul(power(factor, min(e, exponents[1].get(factor, 0))))
         assert poly2_gcd(ac, bc) == expected
 
     def test_rendering(self):
@@ -217,6 +262,54 @@ class TestHomogeneousForms:
         su = HomogeneousPoly2(2, (Fraction(0), Fraction(1), Fraction(0)))
         u2 = HomogeneousPoly2(2, (Fraction(1), Fraction(0), Fraction(0)))
         assert conic_form.substitute(s2, su, u2).is_zero
+
+    def test_substitution_matches_power_and_add(self):
+        conic = (
+            HomogeneousPoly2(2, (Fraction(0), Fraction(0), Fraction(1, 2))),
+            HomogeneousPoly2(2, (Fraction(3), Fraction(1, 3), Fraction(0))),
+            HomogeneousPoly2.zero(2),
+        )
+        form = HomogeneousPoly3.from_dict(
+            3, {(3, 0, 0): Fraction(2, 7), (1, 2, 0): -1, (0, 3, 0): 5, (1, 1, 1): 4}
+        )
+        pulled = form.substitute(*conic)
+        assert pulled == substitute_reference(form, *conic)
+        assert str(pulled) == "1/28*s^6-1/18*s^4*u^2-22/27*s^3*u^3+1/2*s^2*u^4+45*s*u^5+135*u^6"
+
+    @given(
+        st.integers(0, 6),
+        st.lists(st.one_of(st.just(0), RATIONALS), min_size=28, max_size=28),
+        st.integers(1, 4),
+        st.lists(st.lists(RATIONALS, min_size=5, max_size=5), min_size=3, max_size=3),
+        st.sampled_from([None, 0, 1, 2]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_substitution_property(self, n, form_coeffs, d, coord_coeffs, zero):
+        # degree-n forms (28 = number of monomials of degree 6) against
+        # degree-d coordinates, one of them possibly zero
+        monomials = [(i, j, n - i - j) for i in range(n + 1) for j in range(n + 1 - i)]
+        form = HomogeneousPoly3.from_dict(n, dict(zip(monomials, form_coeffs)))
+        coords = [HomogeneousPoly2(d, tuple(cs[: d + 1])) for cs in coord_coeffs]
+        if zero is not None:
+            coords[zero] = HomogeneousPoly2.zero(d)
+        assert form.substitute(*coords) == substitute_reference(form, *coords)
+
+    def test_dense_degree_40_along_the_conic(self):
+        rng = random.Random(40)
+        terms = {
+            (i, j, 40 - i - j): rng.choice([-1, 1]) * rng.randint(1, 9)
+            for i in range(41)
+            for j in range(41 - i)
+        }
+        form = HomogeneousPoly3.from_dict(40, terms)
+        conic = [HomogeneousPoly2(2, tuple(int(t == m) for t in range(3))) for m in (2, 1, 0)]
+        with time_guard(2):
+            pulled = form.substitute(*conic)
+        # along (s^2 : s*u : u^2), x0^i x1^j x2^k becomes s^(2i+j) u^(j+2k)
+        expected = [0] * 81
+        for (i, j, _), c in terms.items():
+            expected[2 * i + j] += c
+        assert pulled.coeffs == tuple(expected)
 
     def test_render3(self):
         form = HomogeneousPoly3.from_dict(2, {(1, 0, 1): 1, (0, 2, 0): -1})
