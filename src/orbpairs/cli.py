@@ -11,11 +11,19 @@ Every command is one row of COMMANDS.  Its handler only computes and returns
 the JSON, ``extra`` fields go into the JSON only (overriding a shown field of
 the same name), and ``lines`` are further text lines.  ``main`` renders both
 forms from that one result.
+
+``main`` builds the argument parser on its first call and reuses it for the
+rest of the process; building it costs more than most commands.  Parsing
+leaves no state on it: every call gets a fresh namespace, no option has a
+mutable default, ``prog`` is fixed and the help width is read when help is
+formatted.  Handlers are bound to their subcommands at that one build, so
+replacing a ``cmd_*`` function after the first call has no effect.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -246,6 +254,7 @@ COMMANDS = [
 ]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbpairs",

@@ -23,10 +23,12 @@ from typing import Literal, Sequence
 from .curveclass import CurveOrbifold, Kappa, kappa_curve
 from .orbcore import (
     INFINITY,
+    MAX_COEFF_DIGITS,
     DomainError,
     Multiplicity,
     OrbifoldDivisor,
     mult_lcm,
+    too_long_to_print,
 )
 from .polynomials import HomogeneousPoly2, HomogeneousPoly3, poly2_gcd
 
@@ -144,6 +146,11 @@ def contact_orders(
 
 def _point_labels(record: ContactRecord) -> list[str]:
     """One opaque label per geometric point in the Galois orbit."""
+    if any(map(too_long_to_print, record.point.coeffs)):
+        raise DomainError(
+            f"a degree-{record.orbit_size} contact point has a coefficient over the "
+            f"limit of {MAX_COEFF_DIGITS} digits, so it cannot be labeled"
+        )
     base = str(record.point)
     if record.orbit_size == 1:
         return [base]

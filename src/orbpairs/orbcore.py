@@ -16,6 +16,20 @@ from functools import total_ordering
 from typing import Iterable, Mapping, Union
 
 
+# The most digits the interpreter converts to a string by default.  The parser
+# caps every coefficient it builds below this, and a computed result that
+# would be printed is checked against it, so no number the program accepts
+# or reports breaks rendering.
+MAX_COEFF_DIGITS = 4300
+_COEFF_BOUND = 10**MAX_COEFF_DIGITS
+
+
+def too_long_to_print(q: Fraction) -> bool:
+    """True iff q's numerator or denominator has over MAX_COEFF_DIGITS digits;
+    decided by comparison, without converting q to a string."""
+    return max(abs(q.numerator), q.denominator) >= _COEFF_BOUND
+
+
 class DomainError(ValueError):
     """An operation was applied outside its mathematical domain."""
 

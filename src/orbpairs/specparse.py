@@ -27,7 +27,13 @@ from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
 from .mordell import OrbifoldP1Triple
-from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
+from .orbcore import (
+    MAX_COEFF_DIGITS,
+    DomainError,
+    Multiplicity,
+    OrbifoldDivisor,
+    too_long_to_print,
+)
 from .planepairs import PlaneArrangementPair
 from .polynomials import HomogeneousPoly2, HomogeneousPoly3, render_poly2, render_poly3
 
@@ -39,13 +45,6 @@ _MAX_PAREN_DEPTH = 100
 # Exponents and the degree of every product and power are capped here, and
 # checked before expanding, so the input alone cannot set unbounded work.
 _MAX_DEGREE = 1000
-
-# Numerators and denominators that +, -, * and ^ build are capped at the
-# length of the longest integer literal, the most the interpreter converts
-# to a string, so every coefficient the parser accepts can be printed.
-_MAX_COEFF_DIGITS = 4300
-_COEFF_BOUND = 10**_MAX_COEFF_DIGITS
-
 
 # ---------------------------------------------------------------------------
 # tokens and diagnostics
@@ -393,8 +392,11 @@ class _Parser:
             raise self.error(op, f"polynomial degree {degree} exceeds the limit of {_MAX_DEGREE}")
 
     def _check_coefficients(self, op: Token, coeffs: Iterable[Fraction]) -> None:
-        if any(max(abs(c.numerator), c.denominator) >= _COEFF_BOUND for c in coeffs):
-            raise self.error(op, f"coefficient exceeds the limit of {_MAX_COEFF_DIGITS} digits")
+        # numerators and denominators that +, -, * and ^ build are capped at
+        # the length of the longest integer literal, so every coefficient the
+        # parser accepts can be printed
+        if any(map(too_long_to_print, coeffs)):
+            raise self.error(op, f"coefficient exceeds the limit of {MAX_COEFF_DIGITS} digits")
 
     def _poly_atom(self, variables) -> dict[tuple[int, ...], Fraction]:
         tok = self.peek()

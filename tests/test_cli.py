@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from orbpairs.cli import main
+from orbpairs.cli import build_parser, main
 from timeguard import time_guard
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -207,6 +207,25 @@ class TestExitCodes:
             f"{src}:2:30: error: coefficient exceeds the limit of 4300 digits"
         )
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize("command", ["restrict", "rational"])
+    def test_unprintable_contact_point_is_domain_error(self, tmp_path, capsys, command, json_flag):
+        # a legal 4001-digit literal squares into an 8001-digit coefficient of
+        # the contact point; labeling it used to end in a ValueError traceback
+        src = tmp_path / "bigpoint.orb"
+        src.write_text(
+            "plane L { component A degree 2 mult 2 form x0^2 + x1^2; }\n"
+            f"paramcurve c {{ x0 = 1{'0' * 4000}*s + u; x1 = s; x2 = u; }}\n"
+        )
+        code = main(["-f", str(src), command, "c", "--against", "L", *json_flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == (
+            "error: a degree-2 contact point has a coefficient over the limit "
+            "of 4300 digits, so it cannot be labeled\n"
+        )
+
     def test_overlong_mults_are_domain_error(self, capsys):
         code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2," + "1" * 5000])
         assert code == 1
@@ -248,6 +267,50 @@ class TestExitCodes:
         point = f"{P}*s^2+u^2"
         assert result["marks"] == {f"{point}#1": "2", f"{point}#2": "2"}
         assert result["rational"] is True
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it; a reused parser
+    must answer every call exactly as a fresh one would."""
+
+    @staticmethod
+    def call(argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse ends usage errors and --help this way
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_repeated_calls_are_identical_and_build_once(self, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", "80")
+        name, argv = CORPUS[10]
+        sequence = [["classify"], ["--help"], argv, argv + ["--json"], ["classify"]]
+        build_parser.cache_clear()
+        first = [self.call(args, capsys) for args in sequence]
+        second = [self.call(args, capsys) for args in sequence]
+        info = build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 2 * len(sequence) - 1)
+        assert first == second
+        assert first[4] == first[0]
+        code, out, err = first[0]
+        assert (code, out) == (2, "")
+        assert err.endswith("error: the following arguments are required: name\n")
+        code, out, err = first[1]
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: orbpairs ")
+        golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        assert first[2] == (0, golden, "")
+        golden = (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+        assert first[3] == (0, golden, "")
+
+    def test_help_width_is_read_when_help_is_formatted(self, monkeypatch, capsys):
+        build_parser()
+        monkeypatch.setenv("COLUMNS", "40")
+        narrow = self.call(["--help"], capsys)[1]
+        monkeypatch.setenv("COLUMNS", "200")
+        wide = self.call(["--help"], capsys)[1]
+        assert len(narrow.splitlines()) > len(wide.splitlines())
 
 
 class TestSymdiffLimitOverride:

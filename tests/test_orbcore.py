@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from orbpairs.orbcore import (
     INFINITY,
+    MAX_COEFF_DIGITS,
     DomainError,
     Multiplicity,
     OrbifoldDivisor,
@@ -14,6 +16,7 @@ from orbpairs.orbcore import (
     mult_lcm,
     mult_min,
     multiplicity_from_coefficient,
+    too_long_to_print,
 )
 
 
@@ -135,3 +138,12 @@ class TestPartialOrder:
     def test_transitive(self, a, b, c):
         if divisor_leq(a, b) and divisor_leq(b, c):
             assert divisor_leq(a, c)
+
+
+def test_too_long_to_print_matches_the_conversion_limit():
+    assert MAX_COEFF_DIGITS == sys.int_info.default_max_str_digits
+    widest = 10**MAX_COEFF_DIGITS - 1  # MAX_COEFF_DIGITS nines
+    for q in (Fraction(widest), Fraction(-widest), Fraction(1, widest)):
+        assert not too_long_to_print(q)
+    for q in (Fraction(widest + 1), Fraction(-widest - 1), Fraction(1, widest + 1)):
+        assert too_long_to_print(q)
