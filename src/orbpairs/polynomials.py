@@ -12,18 +12,22 @@ and runs on integers after the content is split off once at entry: Yun
 squarefree decomposition with primitive pseudo-remainder gcds and exact
 integer division, Berlekamp factoring modulo the first odd prime that keeps
 the part squarefree (the search is open-ended: only the finitely many primes
-dividing lc * discriminant are unusable), linear Hensel lifting past the
-Mignotte bound, and subset recombination by exact integer trial division
-after a trailing-coefficient test.  Every factorization is verified by
-multiplying back before it is returned.
+dividing lc * discriminant are unusable) with factors split off by gcds with
+random kernel elements, quadratic Hensel lifting on a factor tree past the
+Mignotte bound, and subset recombination.  A subset must pass a constant-term
+divisibility test and a root bound on its next-to-top coefficient, both read
+from the lifted factors, before its product is built and confirmed by exact
+integer trial division.  Every factorization is verified by multiplying back
+before it is returned.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .orbcore import DomainError
@@ -167,18 +171,20 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
 
 
 def gf_divmod(f: GFPoly, g: GFPoly, p: int) -> tuple[GFPoly, GFPoly]:
+    """Quotient and remainder modulo p; lc(g) must be a unit mod p, so p may
+    be a prime power when g is monic.  Entries are reduced only where read."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
-    quo = [0] * max(len(f) - len(g) + 1, 0)
+    n = len(g)
+    quo = [0] * max(len(f) - n + 1, 0)
     inv = pow(g[-1], -1, p)
-    for i in range(len(rem) - len(g), -1, -1):
-        c = rem[i + len(g) - 1] * inv % p
+    for i in range(len(quo) - 1, -1, -1):
+        c = rem[i + n - 1] * inv % p
         if c:
             quo[i] = c
-            for j, b in enumerate(g):
-                rem[i + j] = (rem[i + j] - c * b) % p
-    return _trim(quo, p), _trim(rem, p)
+            rem[i : i + n] = [r - c * b for r, b in zip(rem[i : i + n], g)]
+    return _trim(quo, p), _trim(rem[: n - 1], p)
 
 
 def gf_gcd(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
@@ -269,33 +275,30 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
     count = len(basis)
     if count == 1:
         return [f]
+    # every kernel element a is constant modulo each irreducible factor, so
+    # for random a the gcds with a and with a^((p-1)/2) - 1 sort the factors
+    # of a piece by whether that constant is zero, a square or not (von zur
+    # Gathen & Gerhard, 14.8); the sorted factor list does not depend on
+    # the seed
+    rng = random.Random(p)
     factors: list[GFPoly] = [f]
-    for vec in basis:
-        vpoly = _trim(vec, p)
-        if len(vpoly) <= 1:
-            continue
-        refined: list[GFPoly] = []
-        for u in factors:
-            pieces = [u]
-            if len(u) - 1 > 1:
-                for c in range(p):
-                    shifted = _sub(vpoly, (c,), p)
-                    next_pieces: list[GFPoly] = []
-                    for w in pieces:
-                        if len(w) - 1 <= 1:
-                            next_pieces.append(w)
-                            continue
-                        g = gf_gcd(w, shifted, p)
-                        if 0 < len(g) - 1 < len(w) - 1:
-                            next_pieces.append(g)
-                            next_pieces.append(gf_divmod(w, g, p)[0])
-                        else:
-                            next_pieces.append(w)
-                    pieces = next_pieces
-            refined.extend(pieces)
-        factors = refined
-        if len(factors) == count:
-            break
+    while len(factors) < count:
+        a = [0] * n
+        for vec in basis:
+            c = rng.randrange(p)
+            a = [x + c * y for x, y in zip(a, vec)]
+        pieces: list[GFPoly] = []
+        for w in factors:
+            # a is constant mod an irreducible w, and a constant splits nothing
+            b = gf_divmod(a, w, p)[1]
+            if len(b) > 1:
+                for t in (b, _sub(gf_pow_mod(b, (p - 1) // 2, w, p), (1,), p)):
+                    g = gf_gcd(w, t, p)
+                    if 0 < len(g) - 1 < len(w) - 1:
+                        pieces.append(g)
+                        w = gf_divmod(w, g, p)[0]
+            pieces.append(w)
+        factors = pieces
     return sorted(factors)
 
 
@@ -317,31 +320,45 @@ def _symmetric(c: int, modulus: int) -> int:
     return c - modulus if c > modulus // 2 else c
 
 
-def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[list[int]]:
-    """Lift the congruence f = lc(f) * prod(monic g_i) from mod p to mod p^k
-    one linear step at a time; the g_i stay monic throughout."""
-    lc = f[-1]
-    gs = [list(g) for g in modular]
-    inverses: list[GFPoly] = []
-    for i, g in enumerate(modular):
-        others: GFPoly = (lc % p,)
-        for j, h in enumerate(modular):
-            if j != i:
-                others = _trim(_mul(others, h), p)
-        inverses.append(gf_inverse_mod(others, g, p))
-    pj = p
-    for _ in range(1, k):
-        modulus = pj * p
-        prod: GFPoly = (lc % modulus,)
-        for g in gs:
-            prod = _trim(_mul(prod, g), modulus)
-        ebar = _trim([c // pj for c in _sub(f, prod, modulus)], p)
-        for i, g in enumerate(gs):
-            delta = gf_divmod(_trim(_mul(ebar, inverses[i]), p), _trim(g, p), p)[1]
-            for deg, c in enumerate(delta):
-                g[deg] = (g[deg] + pj * c) % modulus
-        pj = modulus
-    return gs
+def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[IPoly]:
+    """Lift the congruence f = lc(f) * prod(monic g_i) from mod p to mod p^k;
+    returns the monic lifts in the order of the g_i.
+
+    Quadratic lifting on a factor tree (von zur Gathen & Gerhard, 15.10 and
+    15.17): the g_i split into two halves of about equal degree, f = g * h
+    with h the monic product of the second half, and (g, h) are lifted with
+    s = g^-1 mod h along the precisions 1, ..., ceil(k/2), k before each
+    half is lifted the same way.  Lifts of coprime monic factors are unique,
+    so the result does not depend on the tree's shape."""
+    pk = p**k
+    if len(modular) == 1:
+        inv = pow(f[-1], -1, pk)
+        return [_trim([c * inv for c in f], pk)]
+    prefix = list(accumulate(len(g) - 1 for g in modular))
+    cut = min(range(1, len(modular)), key=lambda i: abs(2 * prefix[i - 1] - prefix[-1]))
+    h: GFPoly = (1,)
+    for g in modular[cut:]:
+        h = _trim(_mul(h, g), p)
+    g = gf_divmod(f, h, p)[0]
+    s = gf_inverse_mod(g, h, p)
+    precisions = [k]
+    while precisions[-1] > 1:
+        precisions.append((precisions[-1] + 1) // 2)
+    for j in reversed(precisions[:-1]):
+        modulus = p**j
+        # h is monic, so dividing by it needs no inverse modulo p^j
+        e = _sub(f, _mul(g, h), modulus)
+        delta = gf_divmod(_mul(s, e), h, modulus)[1]
+        h = list(h)
+        for i, c in enumerate(delta):
+            h[i] = (h[i] + c) % modulus
+        g = gf_divmod(f, h, modulus)[0]
+        if j < k:
+            # Newton step for the inverse: s * g = 1 + eps mod h gives
+            # s * (2 - s * g) * g = 1 - eps^2
+            sg = gf_divmod(_mul(s, g), h, modulus)[1]
+            s = gf_divmod(_mul(s, _sub((2,), sg, modulus)), h, modulus)[1]
+    return _hensel_lift(g, modular[:cut], p, k) + _hensel_lift(tuple(h), modular[cut:], p, k)
 
 
 def _zassenhaus(f: IPoly) -> list[IPoly]:
@@ -373,23 +390,39 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
         k += 1
 
     lifted = _hensel_lift(f, modular, p, k)
+    degrees = [len(g) - 1 for g in lifted]
 
     result: list[IPoly] = []
     active = list(range(len(lifted)))
     remaining = f
     size = 1
     while 2 * size <= len(active):
+        # a true factor h of remaining shows up as (lc / lc(h)) * h, and p^k
+        # exceeds twice its coefficients, so symmetric residues are exact:
+        # its constant term divides lc * remaining(0), and its next-to-top
+        # coefficient is lc times the sum of deg(h) roots, each at most the
+        # Cauchy bound R (Abbott-Shoup-Zimmermann)
+        lc = remaining[-1]
+        root_bound = 1 + -(-max(abs(c) for c in remaining[:-1]) // lc)
+        trailing = lc * remaining[0]
         found = False
         for subset in combinations(active, size):
-            prod: GFPoly = (remaining[-1] % pk,)
-            for idx in subset:
-                prod = _trim(_mul(prod, lifted[idx]), pk)
+            degree = sum(degrees[i] for i in subset)
+            trace = _symmetric(lc * sum(lifted[i][-2] for i in subset), pk)
+            if abs(trace) > lc * degree * root_bound:
+                continue
+            if trailing:
+                constant = lc
+                for i in subset:
+                    constant = constant * lifted[i][0] % pk
+                constant = _symmetric(constant, pk)
+                if not constant or trailing % constant:
+                    continue
+            prod: GFPoly = (lc,)
+            for i in subset:
+                prod = _trim(_mul(prod, lifted[i]), pk)
             candidate = _primitive([_symmetric(c, pk) for c in prod])
             if len(candidate) < 2:
-                continue
-            # a true factor's trailing coefficient divides remaining's
-            # (Abbott-Shoup-Zimmermann); most false candidates fail this
-            if candidate[0] and remaining[0] % candidate[0]:
                 continue
             quo = _divide(remaining, candidate)
             if quo is not None:

@@ -21,6 +21,9 @@ from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError
 # Exhaustive enumerations refuse to run past this bound on p * N * q unless
 # the caller raises it explicitly.
 DEFAULT_ENUMERATION_LIMIT = 200
+# p * N * q does not bound the count of multi-indices, sum over N of
+# C(C(p, q) + N - 1, N); this cap on the count has no override.
+_MAX_MULTI_INDICES = 10**6
 
 
 @dataclass(frozen=True)
@@ -170,8 +173,9 @@ def check_positive_floor(
 
     Enumerates all multi-indices for N = threshold .. threshold + extra and
     reports counterexamples (expected: none).  Refuses to run if
-    p * N * q exceeds ``limit``.  ``first_subset`` restricts to one shard of
-    the enumeration, keyed by the smallest subset.
+    p * N * q exceeds ``limit`` or the full enumeration has more than
+    10^6 multi-indices.  ``first_subset`` restricts to one shard of the
+    enumeration, keyed by the smallest subset.
     """
     if not 1 <= q <= p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -184,13 +188,22 @@ def check_positive_floor(
         if m.is_finite and m.finite_value() <= 1:
             raise DomainError("positive-floor check requires all multiplicities > 1")
     threshold = positive_floor_threshold(p, q, ms)
-    n_values = tuple(range(threshold, threshold + extra + 1))
-    worst = p * max(n_values) * q
+    worst = p * (threshold + extra) * q
     if worst > limit:
         raise DomainError(
             f"enumeration size p*N*q = {worst} exceeds the limit {limit}; "
             f"raise the limit explicitly to proceed"
         )
+    n_values = tuple(range(threshold, threshold + extra + 1))
+    subsets = math.comb(p, q)
+    count = 0
+    for n in n_values:
+        count += math.comb(subsets + n - 1, n)
+        if count > _MAX_MULTI_INDICES:
+            raise DomainError(
+                f"enumeration for N = {threshold}..{threshold + extra} has more than "
+                f"{_MAX_MULTI_INDICES} multi-indices of {q}-subsets of 1..{p}"
+            )
     checked = 0
     bad: list[tuple[int, MultiIndexJ]] = []
     for n in n_values:

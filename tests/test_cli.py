@@ -268,6 +268,49 @@ class TestExitCodes:
         assert result["marks"] == {f"{point}#1": "2", f"{point}#2": "2"}
         assert result["rational"] is True
 
+    def test_fermat_105_along_a_line(self, tmp_path, capsys):
+        # the pullback s^105 - u^105 splits into the cyclotomic forms of the
+        # 8 divisors of 105, each a record whose points all get mark 2
+        src = tmp_path / "fermat105.orb"
+        src.write_text(
+            "plane F { component C degree 105 mult 2 form x0^105 - x1^105; }\n"
+            "paramcurve c { x0 = s; x1 = u; x2 = s + u; }\n"
+        )
+        with time_guard(10):
+            code = main(["-f", str(src), "restrict", "c", "--against", "F", "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        marks = json.loads(captured.out)["marks"]
+        points = {}
+        for label, mark in marks.items():
+            assert mark == "2"
+            form = label.split("#")[0]
+            points[form] = points.get(form, 0) + 1
+        assert sorted(points.values()) == [1, 2, 4, 6, 8, 12, 24, 48]
+        assert "s-u" in points and "s^2+s*u+u^2" in points
+
+    def test_symdiff_count_cap(self, monkeypatch, capsys):
+        # p*N*q = 9*7*3 = 189 passes the limit of 200, but N = 6, 7 over the
+        # 84 3-subsets of 1..9 make C(89, 6) + C(90, 7) = 8,052,482,548
+        # multi-indices; the cap on that count has no override
+        argv = ["symdiff-check", "--p", "9", "--q", "3", "--mults", "2,2,2,2,2,2,2,2,2"]
+        for env in (None, "100000"):
+            if env:
+                monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", env)
+            with time_guard(5):
+                assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                "error: enumeration for N = 6..7 has more than 1000000 "
+                "multi-indices of 3-subsets of 1..9\n"
+            )
+
+    def test_symdiff_limit_checked_before_listing_n(self, capsys):
+        with time_guard(5):
+            code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2,2",
+                         "--extra", str(10**15)])
+        assert code == 1
+        assert "exceeds the limit 200" in capsys.readouterr().err
+
 
 class TestParserReuse:
     """main builds its parser on the first call and reuses it; a reused parser

@@ -1,15 +1,31 @@
+import math
 import random
 from fractions import Fraction
+from itertools import combinations, zip_longest
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from orbpairs.orbcore import DomainError
 from orbpairs.polynomials import (
     HomogeneousPoly2,
     HomogeneousPoly3,
+    _deriv,
+    _divide,
+    _hensel_lift,
     _mul,
+    _odd_primes,
+    _primitive,
+    _sub,
+    _symmetric,
+    _trim,
+    content_primitive,
     factor_rational,
+    gf_berlekamp,
+    gf_divmod,
+    gf_gcd,
+    gf_inverse_mod,
+    gf_pow_mod,
     poly2_gcd,
     qdeg,
     qpoly,
@@ -58,6 +74,125 @@ def substitute_reference(form, x0, x1, x2):
     return HomogeneousPoly2(len(total) - 1, tuple(total))
 
 
+def swinnerton_dyer(primes):
+    """The product of x - (+-sqrt(q1) +- ... +- sqrt(qm)) over all signs, one
+    prime q at a time: with y^2 = q, P(x + y) = A + y*B and
+    P(x + y) * P(x - y) = A^2 - q*B^2."""
+    poly = (0, 1)
+    for q in primes:
+        a, b = [0], [0]
+        for c in reversed(poly):
+            # (A + y*B) * (x + y) + c = (x*A + c + q*B) + y*(A + x*B)
+            a, b = (
+                [u + q * v for u, v in zip_longest([c] + a, b, fillvalue=0)],
+                [u + v for u, v in zip_longest(a, [0] + b, fillvalue=0)],
+            )
+        poly = _sub(_mul(a, a), [q * v for v in _mul(b, b)])
+    return poly
+
+
+def modular_setup(f):
+    """The prime, the monic modular factors and the exponent k that the
+    factoring code uses for a primitive squarefree f of degree >= 2."""
+    for p in _odd_primes():
+        if f[-1] % p:
+            fp = _trim(f, p)
+            if len(gf_gcd(fp, _deriv(fp, p), p)) == 1:
+                break
+    inv_lc = pow(f[-1], -1, p)
+    modular = gf_berlekamp(_trim([c * inv_lc for c in f], p), p)
+    bound = 2 * (1 << (len(f) - 1)) * (math.isqrt(sum(c * c for c in f)) + 1) * abs(f[-1])
+    k = 1
+    while p**k <= bound:
+        k += 1
+    return p, modular, k
+
+
+def hensel_lift_reference(f, modular, p, k):
+    """Linear lifting: k - 1 steps, each rebuilding the product of all factors
+    mod p^(j+1) and correcting every factor by one p-adic digit."""
+    lc = f[-1]
+    gs = [list(g) for g in modular]
+    inverses = []
+    for i, g in enumerate(modular):
+        others = (lc % p,)
+        for j, h in enumerate(modular):
+            if j != i:
+                others = _trim(_mul(others, h), p)
+        inverses.append(gf_inverse_mod(others, g, p))
+    pj = p
+    for _ in range(1, k):
+        modulus = pj * p
+        prod = (lc % modulus,)
+        for g in gs:
+            prod = _trim(_mul(prod, g), modulus)
+        ebar = _trim([c // pj for c in _sub(f, prod, modulus)], p)
+        for i, g in enumerate(gs):
+            delta = gf_divmod(_trim(_mul(ebar, inverses[i]), p), _trim(g, p), p)[1]
+            for deg, c in enumerate(delta):
+                g[deg] = (g[deg] + pj * c) % modulus
+        pj = modulus
+    return [tuple(g) for g in gs]
+
+
+def zassenhaus_reference(f):
+    """Linear lifting, then every subset's product built before a
+    trailing-coefficient test and trial division."""
+    if len(f) <= 2:
+        return [f]
+    p, modular, k = modular_setup(f)
+    if len(modular) == 1:
+        return [f]
+    pk = p**k
+    lifted = hensel_lift_reference(f, modular, p, k)
+    result = []
+    active = list(range(len(lifted)))
+    remaining = f
+    size = 1
+    while 2 * size <= len(active):
+        found = False
+        for subset in combinations(active, size):
+            prod = (remaining[-1] % pk,)
+            for idx in subset:
+                prod = _trim(_mul(prod, lifted[idx]), pk)
+            candidate = _primitive([_symmetric(c, pk) for c in prod])
+            if len(candidate) < 2:
+                continue
+            if candidate[0] and remaining[0] % candidate[0]:
+                continue
+            quo = _divide(remaining, candidate)
+            if quo is not None:
+                result.append(candidate)
+                remaining = quo
+                active = [i for i in active if i not in subset]
+                found = True
+                break
+        if not found:
+            size += 1
+    if len(remaining) >= 2:
+        result.append(remaining)
+    return sorted(result)
+
+
+def factor_reference(poly):
+    content, prim = content_primitive(poly)
+    factors = [
+        (irr, mult) for part, mult in squarefree_decomposition(prim) for irr in zassenhaus_reference(part)
+    ]
+    return content, sorted(factors, key=lambda fe: (len(fe[0]), fe[0]))
+
+
+def is_irreducible_mod(f, p):
+    """Rabin's test for a monic f of degree d: x^(p^d) = x mod f, and
+    x^(p^(d/r)) - x is prime to f for every prime r dividing d."""
+    d = len(f) - 1
+    x = gf_divmod((0, 1), f, p)[1]
+    if gf_pow_mod(x, p**d, f, p) != x:
+        return False
+    primes = [r for r in range(2, d + 1) if d % r == 0 and all(r % t for t in range(2, r))]
+    return all(len(gf_gcd(f, _sub(gf_pow_mod(x, p ** (d // r), f, p), x, p), p)) == 1 for r in primes)
+
+
 def expand(factors):
     out = qpoly([1])
     for coeffs, e in factors:
@@ -93,23 +228,83 @@ class TestFactorRational:
             # -3/4 x^3 (x+1)^2: content and a negative leading coefficient
             (qscale(expand([((0, 1), 3), ((1, 1), 2)]), Fraction(-3, 4)),
              [((0, 1), 3), ((1, 1), 2)]),
+            # x (x-1) (x^2+1) and x (x^4+1): a squarefree part with a zero
+            # constant term, where the constant-term test cannot apply; mod 3
+            # x^4+1 splits into two quadratics, so x must be found on its own
+            (expand([((0, 1), 1), ((-1, 1), 1), ((1, 0, 1), 1)]),
+             [((0, 1), 1), ((-1, 1), 1), ((1, 0, 1), 1)]),
+            (expand([((0, 1), 1), ((1, 0, 0, 0, 1), 1)]), [((0, 1), 1), ((1, 0, 0, 0, 1), 1)]),
         ]
         for poly, expected in cases:
             _, factors = factor_rational(poly)
             assert sorted(factors) == sorted(expected), poly
 
     def test_x105_minus_1(self):
-        # the core of s^105 - u^105: thousands of false recombination
-        # candidates, which the trailing-coefficient test rejects before
-        # trial division
+        # the core of s^105 - u^105: thousands of recombination candidates
+        # pass the constant-term test (cyclotomic constant terms are +-1),
+        # and the trace test rejects nearly all of them
         poly = qpoly([-1] + [0] * 104 + [1])
-        with time_guard(45):
+        with time_guard(5):
             _, factors = factor_rational(poly)
         # the cyclotomic polynomials of 1, 3, 5, 7, 15, 21, 35 and 105
         assert [(len(f) - 1, e) for f, e in factors] == [
             (1, 1), (2, 1), (4, 1), (6, 1), (8, 1), (12, 1), (24, 1), (48, 1)
         ]
         assert expand(factors) == poly
+
+    def test_swinnerton_dyer_32(self):
+        # irreducible over Q, but a product of factors of degree <= 2 modulo
+        # every prime: every subset up to half the modular factors is tried
+        poly = swinnerton_dyer([2, 3, 5, 7, 11])
+        assert swinnerton_dyer([2, 3, 5, 7]) == SWINNERTON_DYER_16
+        assert len(poly) == 33
+        with time_guard(5):
+            _, factors = factor_rational(qpoly(poly))
+        assert factors == [(poly, 1)]
+
+    def test_large_first_usable_prime(self):
+        # P x^6 + 1 with P the product of the odd primes below 2000: the
+        # first prime not dividing the leading coefficient is 2003, and
+        # splitting modulo it must not cost time linear in the prime
+        big = math.prod(q for q in range(3, 2000, 2) if all(q % t for t in range(3, q, 2)))
+        poly = (1, 0, 0, 0, 0, 0, big)
+        with time_guard(2):
+            _, factors = factor_rational(qpoly(poly))
+        assert factors == [(poly, 1)]
+        p, modular, _ = modular_setup(poly)
+        assert p == 2003 and len(modular) > 1 and all(is_irreducible_mod(g, p) for g in modular)
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=4).filter(lambda cs: cs[-1]),
+        st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=5).filter(lambda cs: cs[-1]),
+                 max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_lifting_and_recombination_match_reference(self, with_zero_root, others):
+        # products of small integer polynomials, one factor with a zero
+        # constant term, against the linear lifter and the subset loop that
+        # builds every product before testing it
+        poly = expand([((0, *with_zero_root), 1)] + [(tuple(cs), 1) for cs in others])
+        assume(2 <= qdeg(poly) <= 16)
+        for part, _ in squarefree_decomposition(poly):
+            if len(part) > 2:
+                p, modular, k = modular_setup(part)
+                if len(modular) > 1:
+                    assert _hensel_lift(part, modular, p, k) == hensel_lift_reference(part, modular, p, k)
+        assert factor_rational(poly) == factor_reference(poly)
+
+    @given(st.lists(st.integers(0, 12), min_size=2, max_size=13), st.sampled_from([3, 5, 7, 11, 41]))
+    @settings(max_examples=150, deadline=None)
+    def test_berlekamp_factors_are_irreducible(self, coeffs, p):
+        f = _trim(coeffs[:-1] + [1], p)
+        assume(len(f) > 2 and len(gf_gcd(f, _deriv(f, p), p)) == 1)
+        factors = gf_berlekamp(f, p)
+        assert factors == sorted(factors)
+        product = (1,)
+        for g in factors:
+            product = _trim(_mul(product, g), p)
+        assert product == f
+        assert all(g[-1] == 1 and is_irreducible_mod(g, p) for g in factors)
 
     def test_content_tracking(self):
         content, factors = factor_rational(qscale(qpoly([1, 2, 1]), Fraction(3, 4)))

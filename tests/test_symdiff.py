@@ -94,6 +94,15 @@ class TestPositiveFloor:
         with pytest.raises(DomainError):
             check_positive_floor(4, 1, [2, 2, 2, 2], limit=10)
 
+    def test_multi_index_count_capped(self):
+        # within the p*N*q limit, but 8,052,482,548 multi-indices
+        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
+            check_positive_floor(9, 3, [2] * 9)
+        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
+            check_positive_floor(9, 3, [2] * 9, limit=10**9)
+        # q = 7: 36 subsets, N = 3 alone gives C(38, 3) = 8436
+        assert check_positive_floor(9, 7, [2] * 9, extra=0).checked == 8436
+
     def test_shard_merge_equals_full(self):
         p, q, n = 3, 2, 3
         full = sorted(j.subsets for j in multi_indices(p, q, n))
