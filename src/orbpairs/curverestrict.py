@@ -56,6 +56,8 @@ class ParamPlaneCurve:
             raise DomainError("parametrization is identically zero")
         common = nonzero[0]
         for c in nonzero[1:]:
+            if common.degree == 0:
+                break
             common = poly2_gcd(common, c)
         if common.degree > 0:
             raise DomainError(

@@ -3,9 +3,12 @@
 An integer is p-full when every prime in its factorization appears with
 exponent at least p (1 is vacuously p-full).  For the orbifold line marked
 (p, q, r) at 0, 1, infinity, the non-classical rational points are the
-coprime fractions a/b with a p-full, b r-full and a-b q-full; the classical
-points come from exact power identities alpha^p + beta^r = gamma^q.  All
-power and root computations are exact integer arithmetic.
+coprime fractions a/b with a p-full, b r-full and a-b q-full.  The point
+search enumerates the p-full, r-full and q-full values in range once each
+and decides q-fullness of a-b by membership in the enumerated set; trial
+division (``factorize``, ``is_p_full``) is kept for single values.  The
+classical points come from exact power identities alpha^p + beta^r =
+gamma^q.  All power and root computations are exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -190,6 +193,10 @@ def search_points(
     """All points a/b with a p-full <= max_a, b r-full <= max_b, gcd(a,b)=1,
     a != b, and |a-b| (sign="minus") or a+b (sign="plus") q-full.
 
+    The a- and b-values and the q-full values up to the largest candidate
+    the searched a- and b-values can make are each enumerated once; a candidate is q-full exactly when
+    it lies in that set, so no candidate is factorized.
+
     Results are sorted by (b, a).  ``b_range`` restricts the denominators to
     a closed interval so disjoint shards can be searched independently and
     merged; the merged output is identical to the unsharded one.
@@ -203,13 +210,20 @@ def search_points(
     if b_range is not None:
         lo, hi = b_range
         b_values = [b for b in b_values if lo <= b <= hi]
+    if not b_values:
+        return []
+    # every candidate |a-b| or a+b is at most this bound, so one enumeration
+    # of the q-full values decides them all by membership; a = b is coprime
+    # only at 1, where the candidate is 0 or 2 and neither is q-full
+    minus = sign == "minus"
+    a_top, b_top = a_values[-1], b_values[-1]
+    c_max = max(a_top, b_top) if minus else a_top + b_top
+    q_full = set(enumerate_p_full(c_max, triple.q))
     found: list[RationalPoint] = []
     for b in b_values:
         for a in a_values:
-            if a == b or math.gcd(a, b) != 1:
-                continue
-            c = abs(a - b) if sign == "minus" else a + b
-            if is_p_full(c, triple.q):
+            c = abs(a - b) if minus else a + b
+            if c in q_full and math.gcd(a, b) == 1:
                 found.append(RationalPoint(a, b))
     found.sort(key=lambda pt: (pt.b, pt.a))
     return found

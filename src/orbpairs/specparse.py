@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
@@ -304,17 +305,18 @@ class _Parser:
         except ValueError:  # past the interpreter's digit limit, or a digit such as '²'
             raise self.error(tok, f"cannot read the {len(tok.text)}-digit integer literal")
 
-    def parse_rational(self, what: str) -> Fraction:
-        """``NUMBER [/ NUMBER]`` with a nonzero denominator."""
-        value = Fraction(self.parse_int(what))
-        if self.at("SLASH"):
-            self.advance()
-            den_tok = self.peek()
-            den = self.parse_int("denominator")
-            if den == 0:
-                raise self.error(den_tok, "zero denominator")
-            value /= den
-        return value
+    def parse_rational(self, what: str) -> int | Fraction:
+        """``NUMBER [/ NUMBER]`` with a nonzero denominator; an ``int``
+        unless the literal has a denominator."""
+        value = self.parse_int(what)
+        if not self.at("SLASH"):
+            return value
+        self.advance()
+        den_tok = self.peek()
+        den = self.parse_int("denominator")
+        if den == 0:
+            raise self.error(den_tok, "zero denominator")
+        return Fraction(value, den)
 
     def parse_multiplicity(self) -> Multiplicity:
         if self.at("IDENT", "inf"):
@@ -329,23 +331,26 @@ class _Parser:
 
     # -- polynomial expressions
 
-    def parse_poly(self, variables: tuple[str, ...]) -> dict[tuple[int, ...], Fraction]:
+    def parse_poly(self, variables: tuple[str, ...]) -> dict[tuple[int, ...], int | Fraction]:
+        """The nonzero terms of a polynomial, keyed by exponent tuples.
+        Coefficients are ``int`` unless an ``a/b`` literal made them
+        ``Fraction``."""
         self.paren_depth = 0  # an aborted expression may have left it raised
         terms = self._poly_expr(variables)
         return {e: c for e, c in terms.items() if c != 0}
 
-    def _poly_expr(self, variables) -> dict[tuple[int, ...], Fraction]:
+    def _poly_expr(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         terms = self._poly_term(variables)
         while self.at("PLUS") or self.at("MINUS"):
             op = self.advance()
             rhs = self._poly_term(variables)
             sign = 1 if op.kind == "PLUS" else -1
             for e, c in rhs.items():
-                terms[e] = terms.get(e, Fraction(0)) + sign * c
+                terms[e] = terms.get(e, 0) + sign * c
             self._check_coefficients(op, (terms[e] for e in rhs))
         return terms
 
-    def _poly_term(self, variables) -> dict[tuple[int, ...], Fraction]:
+    def _poly_term(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         result = self._poly_unary(variables)
         while self.at("STAR"):
             op = self.advance()
@@ -354,7 +359,7 @@ class _Parser:
             result = self._product(op, result, rhs)
         return result
 
-    def _poly_unary(self, variables) -> dict[tuple[int, ...], Fraction]:
+    def _poly_unary(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         negate = False
         while self.at("MINUS"):
             self.advance()
@@ -362,7 +367,7 @@ class _Parser:
         inner = self._poly_power(variables)
         return {e: -c for e, c in inner.items()} if negate else inner
 
-    def _poly_power(self, variables) -> dict[tuple[int, ...], Fraction]:
+    def _poly_power(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         base = self._poly_atom(variables)
         if not self.at("CARET"):
             return base
@@ -373,7 +378,7 @@ class _Parser:
         self._check_degree(op, _degree(base) * expo)
         # square and multiply: every square is base^(2^i) with 2^i <= expo,
         # so the degree check above covers it
-        result = {(0,) * len(variables): Fraction(1)}
+        result = {(0,) * len(variables): 1}
         while expo:
             if expo & 1:
                 result = self._product(op, result, base)
@@ -382,7 +387,7 @@ class _Parser:
                 base = self._product(op, base, base)
         return result
 
-    def _product(self, op: Token, a, b) -> dict[tuple[int, ...], Fraction]:
+    def _product(self, op: Token, a, b) -> dict[tuple[int, ...], int | Fraction]:
         product = _poly_mul(a, b)
         self._check_coefficients(op, product.values())
         return product
@@ -391,21 +396,21 @@ class _Parser:
         if degree > _MAX_DEGREE:
             raise self.error(op, f"polynomial degree {degree} exceeds the limit of {_MAX_DEGREE}")
 
-    def _check_coefficients(self, op: Token, coeffs: Iterable[Fraction]) -> None:
+    def _check_coefficients(self, op: Token, coeffs: Iterable[int | Fraction]) -> None:
         # numerators and denominators that +, -, * and ^ build are capped at
         # the length of the longest integer literal, so every coefficient the
         # parser accepts can be printed
         if any(map(too_long_to_print, coeffs)):
             raise self.error(op, f"coefficient exceeds the limit of {MAX_COEFF_DIGITS} digits")
 
-    def _poly_atom(self, variables) -> dict[tuple[int, ...], Fraction]:
+    def _poly_atom(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         tok = self.peek()
         if tok.kind == "NUMBER":
             return {(0,) * len(variables): self.parse_rational("number")}
         if tok.kind == "IDENT" and tok.text in variables:
             self.advance()
             expo = tuple(1 if v == tok.text else 0 for v in variables)
-            return {expo: Fraction(1)}
+            return {expo: 1}
         if tok.kind == "LPAREN":
             if self.paren_depth == _MAX_PAREN_DEPTH:
                 raise self.error(tok, f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels")
@@ -710,18 +715,18 @@ class _Parser:
         return build
 
 
-def _degree(terms: dict[tuple[int, ...], Fraction]) -> int:
+def _degree(terms: dict[tuple[int, ...], int | Fraction]) -> int:
     return max((sum(e) for e in terms), default=0)
 
 
 def _poly_mul(
-    a: dict[tuple[int, ...], Fraction], b: dict[tuple[int, ...], Fraction]
-) -> dict[tuple[int, ...], Fraction]:
-    out: dict[tuple[int, ...], Fraction] = {}
+    a: dict[tuple[int, ...], int | Fraction], b: dict[tuple[int, ...], int | Fraction]
+) -> dict[tuple[int, ...], int | Fraction]:
+    out: dict[tuple[int, ...], int | Fraction] = {}
     for ea, ca in a.items():
         for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            out[e] = out.get(e, Fraction(0)) + ca * cb
+            e = tuple(map(add, ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
     return out
 
 

@@ -229,7 +229,11 @@ def relative_exponent(
     """The filtration exponent floor(kj(1-1/m)) - sum_{r>=1} floor(k(r)(1-1/m))
     for a decomposition (k(0), ..., k(q)) of kj, with its two-sided bound
     floor(k(0)(1-1/m)) <= value <= q + floor(k(0)(1-1/m)) checked
-    (SelfCheckError on failure)."""
+    (SelfCheckError on failure).
+
+    ``check_relative_exponent_bounds`` repeats this value and bound inline
+    from floor tables; ``test_floor_tables_match_relative_exponent`` pins
+    the two together, so change both when the bound changes."""
     mult = as_multiplicity(m)
     if not mult.is_integral:
         raise DomainError(f"relative exponent requires an integral multiplicity, got {mult}")
@@ -265,17 +269,24 @@ def check_relative_exponent_bounds(
     kj_max: int, q_max: int, m_max: int
 ) -> BoundsReport:
     """Exhaustive verification of the relative-exponent bounds over all
-    decompositions with kj <= kj_max, 1 <= q <= q_max, 2 <= m <= m_max."""
+    decompositions with kj <= kj_max, 1 <= q <= q_max, 2 <= m <= m_max.
+
+    Each decomposition is checked as ``relative_exponent`` checks it, from
+    one table of floor(k(1-1/m)), k <= kj_max, per m."""
+    floors = {
+        m: [floor_coefficient_multiple(k, Multiplicity(m)) for k in range(kj_max + 1)]
+        for m in range(2, m_max + 1)
+    }
     checked = 0
     violations: list[tuple[int, tuple[int, ...], int]] = []
     for q in range(1, q_max + 1):
         for kj in range(kj_max + 1):
             for parts in _compositions(kj, q + 1):
-                for m in range(2, m_max + 1):
-                    checked += 1
-                    try:
-                        relative_exponent(kj, parts, m, q)
-                    except SelfCheckError:
+                checked += len(floors)
+                for m, floor in floors.items():
+                    low = floor[parts[0]]
+                    value = floor[kj] - sum(floor[x] for x in parts[1:])
+                    if not low <= value <= q + low:
                         violations.append((kj, parts, m))
     return BoundsReport(checked=checked, violations=tuple(violations))
 

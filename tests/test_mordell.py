@@ -20,6 +20,24 @@ from orbpairs.mordell import (
     search_points,
 )
 from orbpairs.orbcore import DomainError
+from timeguard import time_guard
+
+
+def search_points_by_trial(triple, max_a, max_b, sign="minus", b_range=None):
+    """Reference search: decide each candidate by trial division."""
+    a_values = enumerate_p_full(max_a, triple.p)
+    b_values = enumerate_p_full(max_b, triple.r)
+    if b_range is not None:
+        b_values = [b for b in b_values if b_range[0] <= b <= b_range[1]]
+    found = []
+    for b in b_values:
+        for a in a_values:
+            if a == b or math.gcd(a, b) != 1:
+                continue
+            c = abs(a - b) if sign == "minus" else a + b
+            if is_p_full(c, triple.q):
+                found.append(RationalPoint(a, b))
+    return found
 
 
 class TestPFull:
@@ -151,6 +169,43 @@ class TestSearchPoints:
         for lo, hi in bounds:
             shards.append(search_points(triple, 200, 200, b_range=(lo, hi)))
         assert merge_point_lists(shards) == full
+
+    @given(
+        st.integers(2, 7),
+        st.integers(2, 7),
+        st.integers(2, 7),
+        st.integers(1, 3000),
+        st.integers(1, 3000),
+        st.sampled_from(["minus", "plus"]),
+        st.lists(st.integers(1, 3000), max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_trial_division_and_shards_merge(self, p, q, r, max_a, max_b, sign, cuts):
+        triple = OrbifoldP1Triple(p, q, r)
+        full = search_points(triple, max_a, max_b, sign)
+        assert full == search_points_by_trial(triple, max_a, max_b, sign)
+        edges = [0] + sorted(set(c for c in cuts if c < max_b)) + [max_b]
+        shards = []
+        for lo, hi in zip(edges, edges[1:]):
+            shard = search_points(triple, max_a, max_b, sign, b_range=(lo + 1, hi))
+            assert shard == search_points_by_trial(triple, max_a, max_b, sign, (lo + 1, hi))
+            shards.append(shard)
+        assert merge_point_lists(shards) == full
+
+    def test_excluded_273_at_10_6(self):
+        with time_guard(5):
+            points = search_points(OrbifoldP1Triple(2, 7, 3), 10**6, 10**6)
+        assert [(pt.a, pt.b) for pt in points] == [
+            (9, 8), (2312, 125), (5041, 4913), (12168, 12167), (498436, 107811),
+        ]
+
+    def test_excluded_237_at_10_8(self):
+        with time_guard(5):
+            points = search_points(OrbifoldP1Triple(2, 3, 7), 10**8, 10**8)
+        assert [(pt.a, pt.b) for pt in points] == [
+            (9, 1), (12168, 1), (5041, 128), (169, 512),
+            (2312, 2187), (6661561, 6561), (498436, 390625),
+        ]
 
 
 class TestSearchClassical:

@@ -3,10 +3,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fraction_poly_oracle import OracleParser, oracle_parse, poly_terms
 from orbpairs.curveclass import CurveOrbifold
 from orbpairs.orbcore import INFINITY, Multiplicity, OrbifoldDivisor
-from orbpairs.specparse import Diagnostic, format_document, parse
+from orbpairs.specparse import Diagnostic, _Parser, format_document, parse
 from timeguard import time_guard
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
@@ -264,6 +266,69 @@ class TestDiagnostics:
         plain = parse("paramcurve c { x0 = -s; x1 = u; x2 = s+u; }")
         assert result.ok
         assert result.document == plain.document
+
+
+    def test_binomial_power_at_the_cap_is_fast(self):
+        with time_guard(1):
+            result = parse("paramcurve c { x0 = (s+u)^1000; x1 = u^1000; x2 = s^1000; }")
+        assert result.ok
+        coeffs = result.document.paramcurves["c"].x0.coeffs
+        assert coeffs[:3] == (1, 1000, 499500) and coeffs == coeffs[::-1]
+
+
+def poly_expressions(variables):
+    """Polynomial expressions in ``variables``: integer and a/b literals, a
+    literal long enough that a few products pass the coefficient cap, a
+    power high enough that a few products pass the degree cap, + - * ^,
+    unary minus and parentheses.  Exponents include 0 and one past the
+    exponent cap; the rest stay small, so the Fraction oracle stays fast."""
+    literal = st.one_of(
+        st.integers(0, 10**6).map(str),
+        st.tuples(st.integers(0, 99), st.integers(0, 12)).map(lambda nd: f"{nd[0]}/{nd[1]}"),
+        st.just("9" * 1500),
+    )
+    atom = st.one_of(literal, st.sampled_from(variables), st.just(f"{variables[0]}^600"))
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*"), inner).map(" ".join),
+            inner.map(lambda e: f"-{e}"),
+            st.tuples(inner, st.sampled_from([0, 1, 2, 3, 1001])).map(
+                lambda t: f"({t[0]})^{t[1]}"
+            ),
+        )
+
+    return st.recursive(atom, extend, max_leaves=8)
+
+
+class TestPolynomialOracle:
+    """The integer-keyed evaluator against the former Fraction one."""
+
+    @given(st.sampled_from([("s", "u"), ("x0", "x1", "x2")]).flatmap(
+        lambda vs: st.tuples(st.just(vs), poly_expressions(vs))
+    ))
+    @settings(max_examples=200, deadline=None)
+    def test_terms_match(self, case):
+        variables, expr = case
+        with time_guard(10):
+            expected = poly_terms(OracleParser, expr, variables)
+            got = poly_terms(_Parser, expr, variables)
+        assert got == expected
+        if isinstance(got, dict) and "/" not in expr:
+            assert all(type(c) is int for c in got.values())
+
+    @given(poly_expressions(("s", "u")), poly_expressions(("x0", "x1", "x2")))
+    @settings(max_examples=150, deadline=None)
+    def test_documents_and_diagnostics_match(self, param, form):
+        source = (
+            f"paramcurve c {{ x0 = {param}; x1 = u^2; x2 = s^2; }}\n"
+            f"plane f {{ component C degree 2 mult 3 form {form}; }}\n"
+        )
+        with time_guard(10):
+            expected = oracle_parse(source)
+            got = parse(source)
+        assert [str(d) for d in got.diagnostics] == [str(d) for d in expected.diagnostics]
+        assert got.document == expected.document
 
 
 class TestGoldenDiagnostics:

@@ -1,15 +1,17 @@
+import math
 import os
 import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from orbpairs.orbcore import INFINITY, DomainError, Multiplicity
+from orbpairs import symdiff
+from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, SelfCheckError
 from orbpairs.symdiff import (
     MultiIndexJ,
     ceil_quotient,
@@ -144,6 +146,43 @@ class TestRelativeExponent:
     def test_exhaustive_bounds_small(self):
         report = check_relative_exponent_bounds(12, 3, 5)
         assert report.ok and report.checked > 0
+
+    @pytest.mark.parametrize("floor", ["true", "ceiling", "square"])
+    def test_floor_tables_match_relative_exponent(self, monkeypatch, floor):
+        # the grid reads floors from tables; relative_exponent is the
+        # oracle, with the true floor and with broken ones in its place that
+        # push values below (ceiling) and above (square) the two-sided bound
+        def ceiling(k, m):
+            n = m.finite_value().numerator
+            return -(-k * (n - 1) // n)
+
+        broken = {"ceiling": ceiling, "square": lambda k, m: k * k}.get(floor)
+        if broken:
+            monkeypatch.setattr(symdiff, "floor_coefficient_multiple", broken)
+        kj_max, q_max, m_max = 9, 3, 6
+        expected = []
+        for q in range(1, q_max + 1):
+            for kj in range(kj_max + 1):
+                for parts in product(range(kj + 1), repeat=q + 1):
+                    if sum(parts) != kj:
+                        continue
+                    for m in range(2, m_max + 1):
+                        try:
+                            relative_exponent(kj, parts, m, q)
+                        except SelfCheckError:
+                            expected.append((kj, parts, m))
+        report = check_relative_exponent_bounds(kj_max, q_max, m_max)
+        assert bool(expected) == bool(broken)
+        assert report.violations == tuple(expected)
+
+    @pytest.mark.parametrize("grid", [(0, 1, 2), (5, 1, 1), (12, 3, 5), (7, 5, 9)])
+    def test_checked_matches_closed_form(self, grid):
+        # (q+1)-part compositions of kj number C(kj + q, q), once per m
+        kj_max, q_max, m_max = grid
+        compositions = sum(
+            math.comb(kj + q, q) for q in range(1, q_max + 1) for kj in range(kj_max + 1)
+        )
+        assert check_relative_exponent_bounds(*grid).checked == compositions * max(m_max - 1, 0)
 
 
 class TestSuperadditivityIdentity:
