@@ -114,9 +114,7 @@ def expected_family_dim(pair: PlaneArrangementPair, degree: int) -> int:
     Parameters: 3*degree - 1.  Conditions per line: degree * (1 - 1/m).
     The divisibility m | degree makes the count an exact integer.
     """
-    mults = _require_line_arrangement(pair, degree)
-    conditions = sum(degree - degree // m for m in mults)
-    return (3 * degree - 1) - conditions
+    return family_dim_report(pair, degree).dimension
 
 
 def adjunction_identity_check(pair: PlaneArrangementPair, degree: int) -> bool:

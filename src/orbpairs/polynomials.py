@@ -10,15 +10,15 @@ once, powers are built incrementally, and the terms are summed as integers
 over one common denominator.  Full factorization over Q is implemented here
 and runs on integers after the content is split off once at entry: Yun
 squarefree decomposition with primitive pseudo-remainder gcds and exact
-integer division, Berlekamp factoring modulo the first odd prime that keeps
-the part squarefree (the search is open-ended: only the finitely many primes
-dividing lc * discriminant are unusable) with factors split off by gcds with
-random kernel elements, quadratic Hensel lifting on a factor tree past the
-Mignotte bound, and subset recombination.  A subset must pass a constant-term
-divisibility test and a root bound on its next-to-top coefficient, both read
-from the lifted factors, before its product is built and confirmed by exact
-integer trial division.  Every factorization is verified by multiplying back
-before it is returned.
+integer division, factoring modulo the first odd prime that keeps the part
+squarefree (the search is open-ended: only the finitely many primes dividing
+lc * discriminant are unusable) by distinct-degree factorization and seeded
+Cantor-Zassenhaus equal-degree splitting, quadratic Hensel lifting on a
+factor tree past the Mignotte bound, and subset recombination.  A subset
+must pass a constant-term divisibility test and a root bound on its
+next-to-top coefficient, both read from the lifted factors, before its
+product is built and confirmed by exact integer trial division.  Every
+factorization is verified by multiplying back before it is returned.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ def _sub(f: Sequence, g: Sequence, modulus: int | None = None) -> tuple:
 
 def _deriv(f: Sequence, modulus: int | None = None) -> tuple:
     return _trim([i * f[i] for i in range(1, len(f))], modulus)
-
-
-def qpoly(coeffs: Iterable[Fraction | int]) -> QPoly:
-    return _trim(Fraction(c) for c in coeffs)
 
 
 def qdeg(f: QPoly) -> int:
@@ -203,8 +199,9 @@ def gf_pow_mod(base: GFPoly, e: int, mod: GFPoly, p: int) -> GFPoly:
     while e:
         if e & 1:
             result = gf_divmod(_trim(_mul(result, base), p), mod, p)[1]
-        base = gf_divmod(_trim(_mul(base, base), p), mod, p)[1]
         e >>= 1
+        if e:
+            base = gf_divmod(_trim(_mul(base, base), p), mod, p)[1]
     return result
 
 
@@ -223,82 +220,44 @@ def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:
     return _trim([c * inv for c in t0], p)
 
 
-def _gf_nullspace(matrix: list[list[int]], p: int) -> list[list[int]]:
-    """Basis of the right nullspace of a square matrix over GF(p)."""
-    n = len(matrix)
-    m = [row[:] for row in matrix]
-    pivot_col_of_row: list[int] = []
-    row = 0
-    for col in range(n):
-        pivot = next((r for r in range(row, n) if m[r][col] % p), None)
-        if pivot is None:
-            continue
-        m[row], m[pivot] = m[pivot], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [c * inv % p for c in m[row]]
-        for r in range(n):
-            if r != row and m[r][col]:
-                factor = m[r][col]
-                m[r] = [(a - factor * b) % p for a, b in zip(m[r], m[row])]
-        pivot_col_of_row.append(col)
-        row += 1
-        if row == n:
-            break
-    pivot_cols = set(pivot_col_of_row)
-    basis = []
-    for free in range(n):
-        if free in pivot_cols:
-            continue
-        vec = [0] * n
-        vec[free] = 1
-        for r, col in enumerate(pivot_col_of_row):
-            vec[col] = (-m[r][free]) % p
-        basis.append(vec)
-    return basis
+def _gf_equal_degree(g: GFPoly, d: int, p: int, rng: random.Random) -> list[GFPoly]:
+    """Monic irreducible factors of a monic squarefree g modulo an odd prime
+    p when all of them have degree d (Cantor-Zassenhaus)."""
+    n = len(g) - 1
+    if n == d:
+        return [g]
+    # a random a is a nonzero square modulo about half of the factors, and
+    # exactly there a^((p^d - 1)/2) = 1 (von zur Gathen & Gerhard, 14.8)
+    e = (p**d - 1) // 2
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(n)], p)
+        s = gf_gcd(g, _sub(gf_pow_mod(a, e, g, p), (1,), p), p)
+        if 0 < len(s) - 1 < n:
+            rest = gf_divmod(g, s, p)[0]
+            return _gf_equal_degree(s, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
 
 
+# keeps Berlekamp's name: perfbench/tracing.py wraps it by name for its metrics
 def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
-    """Monic irreducible factors of a monic squarefree polynomial mod p."""
-    n = len(f) - 1
-    if n <= 1:
-        return [f]
-    xp = gf_pow_mod((0, 1), p, f, p)
-    rows: list[list[int]] = []
-    cur: GFPoly = (1,)
-    for _ in range(n):
-        rows.append(list(cur) + [0] * (n - len(cur)))
-        cur = gf_divmod(_trim(_mul(cur, xp), p), f, p)[1]
-    for i in range(n):
-        rows[i][i] = (rows[i][i] - 1) % p
-    transposed = [[rows[r][c] for r in range(n)] for c in range(n)]
-    basis = _gf_nullspace(transposed, p)
-    count = len(basis)
-    if count == 1:
-        return [f]
-    # every kernel element a is constant modulo each irreducible factor, so
-    # for random a the gcds with a and with a^((p-1)/2) - 1 sort the factors
-    # of a piece by whether that constant is zero, a square or not (von zur
-    # Gathen & Gerhard, 14.8); the sorted factor list does not depend on
-    # the seed
+    """Monic irreducible factors, sorted, of a monic squarefree polynomial
+    modulo an odd prime p: distinct-degree factorization, then equal-degree
+    splitting with random elements drawn from a generator seeded by p."""
     rng = random.Random(p)
-    factors: list[GFPoly] = [f]
-    while len(factors) < count:
-        a = [0] * n
-        for vec in basis:
-            c = rng.randrange(p)
-            a = [x + c * y for x, y in zip(a, vec)]
-        pieces: list[GFPoly] = []
-        for w in factors:
-            # a is constant mod an irreducible w, and a constant splits nothing
-            b = gf_divmod(a, w, p)[1]
-            if len(b) > 1:
-                for t in (b, _sub(gf_pow_mod(b, (p - 1) // 2, w, p), (1,), p)):
-                    g = gf_gcd(w, t, p)
-                    if 0 < len(g) - 1 < len(w) - 1:
-                        pieces.append(g)
-                        w = gf_divmod(w, g, p)[0]
-            pieces.append(w)
-        factors = pieces
+    factors: list[GFPoly] = []
+    rest, h, d = f, (0, 1), 0
+    # once every factor of degree <= d is out, a rest of degree below
+    # 2(d + 1) is irreducible
+    while len(rest) - 1 >= 2 * (d + 1):
+        d += 1
+        # h = x^(p^d) mod rest, and x^(p^d) - x is the product of the monic
+        # irreducibles whose degree divides d (von zur Gathen & Gerhard, 14.2)
+        h = gf_pow_mod(h, p, rest, p)
+        g = gf_gcd(rest, _sub(h, (0, 1), p), p)
+        if len(g) > 1:
+            factors += _gf_equal_degree(g, d, p, rng)
+            rest = gf_divmod(rest, g, p)[0]
+    if len(rest) > 1:
+        factors.append(rest)
     return sorted(factors)
 
 

@@ -28,7 +28,6 @@ from orbpairs.polynomials import (
     gf_pow_mod,
     poly2_gcd,
     qdeg,
-    qpoly,
     render_poly2,
     render_poly3,
     squarefree_decomposition,
@@ -41,6 +40,10 @@ RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 SWINNERTON_DYER_16 = (
     46225, 0, -5596840, 0, 13950764, 0, -7453176, 0, 1513334, 0, -141912, 0, 6476, 0, -136, 0, 1,
 )
+
+
+def qpoly(coeffs):
+    return _trim(Fraction(c) for c in coeffs)
 
 
 def qmul(f, g):
@@ -193,6 +196,16 @@ def is_irreducible_mod(f, p):
     return all(len(gf_gcd(f, _sub(gf_pow_mod(x, p ** (d // r), f, p), x, p), p)) == 1 for r in primes)
 
 
+def assert_modular_factorization(f, factors, p):
+    """The factors are sorted, monic and irreducible mod p, with product f."""
+    assert factors == sorted(factors)
+    product = (1,)
+    for g in factors:
+        product = _trim(_mul(product, g), p)
+    assert product == f
+    assert all(g[-1] == 1 and is_irreducible_mod(g, p) for g in factors)
+
+
 def expand(factors):
     out = qpoly([1])
     for coeffs, e in factors:
@@ -293,18 +306,49 @@ class TestFactorRational:
                     assert _hensel_lift(part, modular, p, k) == hensel_lift_reference(part, modular, p, k)
         assert factor_rational(poly) == factor_reference(poly)
 
-    @given(st.lists(st.integers(0, 12), min_size=2, max_size=13), st.sampled_from([3, 5, 7, 11, 41]))
+    @given(
+        st.lists(st.integers(0, 1008), min_size=2, max_size=13),
+        st.sampled_from([3, 5, 7, 11, 41, 1009]),
+    )
     @settings(max_examples=150, deadline=None)
     def test_berlekamp_factors_are_irreducible(self, coeffs, p):
         f = _trim(coeffs[:-1] + [1], p)
         assume(len(f) > 2 and len(gf_gcd(f, _deriv(f, p), p)) == 1)
+        assert_modular_factorization(f, gf_berlekamp(f, p), p)
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([3, 5, 7, 1009]),
+        st.integers(2, 4),
+        st.integers(3, 5),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_berlekamp_splits_equal_degree_products(self, seed, p, d, count):
+        # every factor has degree d, so distinct-degree factorization leaves
+        # one product and the equal-degree recursion does all the splitting;
+        # GF(3) has only three monic irreducible quadratics
+        count = min(count, 3) if (p, d) == (3, 2) else count
+        rng = random.Random(seed)
+        chosen = set()
+        while len(chosen) < count:
+            g = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+            if is_irreducible_mod(g, p):
+                chosen.add(g)
+        f = (1,)
+        for g in chosen:
+            f = _trim(_mul(f, g), p)
         factors = gf_berlekamp(f, p)
-        assert factors == sorted(factors)
-        product = (1,)
-        for g in factors:
-            product = _trim(_mul(product, g), p)
-        assert product == f
-        assert all(g[-1] == 1 and is_irreducible_mod(g, p) for g in factors)
+        assert_modular_factorization(f, factors, p)
+        assert factors == sorted(chosen)
+
+    def test_berlekamp_x210_minus_1_mod_17(self):
+        # twelve of the factors have degree 12, the order of 17 modulo 35,
+        # and splitting them raises to (17^12 - 1)/2, an exponent of 49 bits
+        f = (16,) + (0,) * 209 + (1,)
+        with time_guard(5):
+            factors = gf_berlekamp(f, 17)
+        assert len(factors) == 28
+        assert_modular_factorization(f, factors, 17)
 
     def test_content_tracking(self):
         content, factors = factor_rational(qscale(qpoly([1, 2, 1]), Fraction(3, 4)))
