@@ -159,14 +159,21 @@ def _point_labels(record: ContactRecord) -> list[str]:
     return [f"{base}#{i}" for i in range(1, record.orbit_size + 1)]
 
 
-def restrict_divisible(
-    curve: ParamPlaneCurve, arrangement: Sequence[PlaneDivisorComponent]
+def restrict(
+    curve: ParamPlaneCurve,
+    arrangement: Sequence[PlaneDivisorComponent],
+    variant: RestrictVariant = "Z",
 ) -> CurveOrbifold:
-    """The smallest integral orbifold divisor on the parameter line making
-    the parametrization a divisible orbifold morphism: at each point,
-    lcm_j of m_j / gcd(m_j, t_j) over the components through it."""
+    """The orbifold divisor the arrangement induces on the parameter line.
+
+    Z (divisible): the smallest integral divisor making the parametrization
+    a divisible orbifold morphism, lcm_j of m_j / gcd(m_j, t_j) at each
+    point over the components through it.  Q (rational): max_j of m_j / t_j,
+    clamped below at 1 (values below 1 cannot be multiplicities)."""
+    if variant not in ("Z", "Q"):
+        raise DomainError(f"unknown restriction variant {variant!r}")
     for comp in arrangement:
-        if not comp.multiplicity.is_integral:
+        if variant == "Z" and not comp.multiplicity.is_integral:
             raise DomainError(
                 f"divisible restriction needs integral multiplicities; "
                 f"component {comp.label!r} has {comp.multiplicity}"
@@ -179,47 +186,17 @@ def restrict_divisible(
             m = mults[label]
             if m.is_infinite:
                 parts.append(INFINITY)
-            else:
+            elif variant == "Z":
                 mv = m.as_integer()
                 parts.append(Multiplicity(mv // math.gcd(mv, t)))
-        point_mult = mult_lcm(parts)
+            else:
+                parts.append(Multiplicity(max(Fraction(1), m.finite_value() / t)))
+        point_mult = mult_lcm(parts) if variant == "Z" else max(parts)
         if point_mult.is_one:
             continue
         for label in _point_labels(record):
             entries.append((label, point_mult))
     return CurveOrbifold(0, OrbifoldDivisor(entries))
-
-
-def restrict_rational(
-    curve: ParamPlaneCurve, arrangement: Sequence[PlaneDivisorComponent]
-) -> CurveOrbifold:
-    """The rational-multiplicity restriction: max_j of m_j / t_j at each
-    point, clamped below at 1 (values below 1 cannot be multiplicities)."""
-    mults = {comp.label: comp.multiplicity for comp in arrangement}
-    entries: list[tuple[str, Multiplicity]] = []
-    for record in contact_orders(curve, arrangement):
-        best = max(
-            INFINITY if mults[label].is_infinite
-            else Multiplicity(max(Fraction(1), mults[label].finite_value() / t))
-            for label, t in record.contacts
-        )
-        if best.is_one:
-            continue
-        for label in _point_labels(record):
-            entries.append((label, best))
-    return CurveOrbifold(0, OrbifoldDivisor(entries))
-
-
-def restrict(
-    curve: ParamPlaneCurve,
-    arrangement: Sequence[PlaneDivisorComponent],
-    variant: RestrictVariant = "Z",
-) -> CurveOrbifold:
-    if variant == "Z":
-        return restrict_divisible(curve, arrangement)
-    if variant == "Q":
-        return restrict_rational(curve, arrangement)
-    raise DomainError(f"unknown restriction variant {variant!r}")
 
 
 def is_delta_rational(

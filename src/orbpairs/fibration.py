@@ -51,26 +51,21 @@ def _component(spec: "FiberComponent | tuple[int, MultiplicityLike]") -> FiberCo
     return FiberComponent(t, as_multiplicity(m))
 
 
+@dataclass(frozen=True)
 class FibrationData:
     """Per-base-divisor fiber component lists; every listed divisor has at
     least one component."""
 
-    __slots__ = ("_fibers",)
+    _fibers: Mapping[str, Iterable["FiberComponent | tuple[int, MultiplicityLike]"]]
 
-    def __init__(
-        self,
-        fibers: Mapping[str, Iterable["FiberComponent | tuple[int, MultiplicityLike]"]],
-    ) -> None:
+    def __post_init__(self) -> None:
         out: dict[str, tuple[FiberComponent, ...]] = {}
-        for label, comps in fibers.items():
+        for label, comps in self._fibers.items():
             parts = tuple(_component(c) for c in comps)
             if not parts:
                 raise DomainError(f"base divisor {label!r} has no fiber components")
             out[label] = parts
         object.__setattr__(self, "_fibers", dict(sorted(out.items())))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("FibrationData is immutable")
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -84,16 +79,8 @@ class FibrationData:
     def items(self) -> tuple[tuple[str, tuple[FiberComponent, ...]], ...]:
         return tuple(self._fibers.items())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FibrationData):
-            return NotImplemented
-        return self._fibers == other._fibers
-
     def __hash__(self) -> int:
         return hash(tuple(self._fibers.items()))
-
-    def __repr__(self) -> str:
-        return f"FibrationData({self._fibers!r})"
 
 
 def _check_mode(mode: str) -> None:
@@ -140,6 +127,7 @@ class LowerComponent:
             raise DomainError(f"lower coefficient must be a positive integer, got {self.s!r}")
 
 
+@dataclass(frozen=True)
 class TwoStageData:
     """Composable pair of fibrations X -> Y -> Z at divisor level.
 
@@ -148,48 +136,29 @@ class TwoStageData:
     must all appear in ``upper``.
     """
 
-    __slots__ = ("_upper", "_lower")
+    upper: FibrationData
+    _lower: Mapping[str, Iterable["LowerComponent | tuple[int, str]"]]
 
-    def __init__(
-        self,
-        upper: FibrationData,
-        lower: Mapping[str, Iterable["LowerComponent | tuple[int, str]"]],
-    ) -> None:
+    def __post_init__(self) -> None:
         low: dict[str, tuple[LowerComponent, ...]] = {}
-        for z_label, comps in lower.items():
+        for z_label, comps in self._lower.items():
             parts = tuple(
                 c if isinstance(c, LowerComponent) else LowerComponent(*c) for c in comps
             )
             if not parts:
                 raise DomainError(f"Z-divisor {z_label!r} has no components")
             for part in parts:
-                if part.y_label not in upper.labels:
+                if part.y_label not in self.upper.labels:
                     raise DomainError(
                         f"Y-divisor {part.y_label!r} referenced by {z_label!r} "
                         f"is not in the upper fibration"
                     )
             low[z_label] = parts
-        object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_lower", dict(sorted(low.items())))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("TwoStageData is immutable")
-
-    @property
-    def upper(self) -> FibrationData:
-        return self._upper
+        object.__setattr__(self, "_lower", tuple(sorted(low.items())))
 
     @property
     def lower(self) -> dict[str, tuple[LowerComponent, ...]]:
         return dict(self._lower)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TwoStageData):
-            return NotImplemented
-        return self._upper == other._upper and self._lower == other._lower
-
-    def __repr__(self) -> str:
-        return f"TwoStageData(upper={self._upper!r}, lower={self._lower!r})"
 
 
 def compose_base(ts: TwoStageData) -> tuple[OrbifoldDivisor, OrbifoldDivisor]:

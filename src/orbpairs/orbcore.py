@@ -11,6 +11,7 @@ because all downstream decisions branch on exact signs and divisibility.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Union
@@ -41,6 +42,7 @@ class SelfCheckError(ArithmeticError):
 MultiplicityLike = Union["Multiplicity", int, Fraction]
 
 
+# Not a dataclass: <, hash and text are custom anyway, and a dataclass slows Multiplicity() and ==.
 @total_ordering
 class Multiplicity:
     """An exact rational weight >= 1, or infinity.
@@ -196,6 +198,7 @@ def mult_gcd(ms: Iterable[MultiplicityLike]) -> Multiplicity:
     return Multiplicity(out)
 
 
+@dataclass(frozen=True)
 class OrbifoldDivisor:
     """Finite formal sum of labeled prime divisors with multiplicities.
 
@@ -204,12 +207,10 @@ class OrbifoldDivisor:
     Instances are immutable and hashable.
     """
 
-    __slots__ = ("_entries",)
+    _entries: Mapping[str, MultiplicityLike] | Iterable[tuple[str, MultiplicityLike]] = ()
 
-    def __init__(
-        self,
-        entries: Mapping[str, MultiplicityLike] | Iterable[tuple[str, MultiplicityLike]] = (),
-    ) -> None:
+    def __post_init__(self) -> None:
+        entries = self._entries
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         items: dict[str, Multiplicity] = {}
         for label, m in pairs:
@@ -219,9 +220,6 @@ class OrbifoldDivisor:
             if not mult.is_one:
                 items[label] = mult
         object.__setattr__(self, "_entries", dict(sorted(items.items())))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("OrbifoldDivisor is immutable")
 
     @property
     def support(self) -> tuple[str, ...]:
@@ -255,11 +253,6 @@ class OrbifoldDivisor:
     def leq(self, other: "OrbifoldDivisor") -> bool:
         """True iff other - self is effective (labelwise m <= m')."""
         return all(m <= other.multiplicity(label) for label, m in self._entries.items())
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbifoldDivisor):
-            return NotImplemented
-        return self._entries == other._entries
 
     def __hash__(self) -> int:
         return hash(tuple(self._entries.items()))

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
+from .orbcore import DomainError, Multiplicity, SelfCheckError, as_multiplicity
 
 
 @dataclass(frozen=True)
@@ -26,18 +25,20 @@ class ArrangementComponent:
             raise DomainError(f"component degree must be a positive integer, got {self.degree!r}")
 
 
+@dataclass(frozen=True)
 class PlaneArrangementPair:
     """An arrangement of labeled plane curves with multiplicities > 1.
 
-    Components of multiplicity 1 are normalized away; labels must be unique.
+    Built from (label, degree, multiplicity) triples.  Components of
+    multiplicity 1 are normalized away; labels must be unique.
     """
 
-    __slots__ = ("_components",)
+    components: tuple[ArrangementComponent, ...]
 
-    def __init__(self, components: Iterable[tuple[str, int, MultiplicityLike]]) -> None:
+    def __post_init__(self) -> None:
         seen: set[str] = set()
         kept: list[ArrangementComponent] = []
-        for label, degree, mult in components:
+        for label, degree, mult in self.components:
             if label in seen:
                 raise DomainError(f"duplicate component label {label!r}")
             seen.add(label)
@@ -45,32 +46,7 @@ class PlaneArrangementPair:
             if m.is_one:
                 continue
             kept.append(ArrangementComponent(label, degree, m))
-        object.__setattr__(self, "_components", tuple(kept))
-
-    def __setattr__(self, name, val):
-        raise AttributeError("PlaneArrangementPair is immutable")
-
-    @property
-    def components(self) -> tuple[ArrangementComponent, ...]:
-        return self._components
-
-    @property
-    def is_lines_only(self) -> bool:
-        return all(c.degree == 1 for c in self._components)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PlaneArrangementPair):
-            return NotImplemented
-        return self._components == other._components
-
-    def __hash__(self) -> int:
-        return hash(self._components)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(
-            f"{c.label}(d={c.degree}, m={c.multiplicity})" for c in self._components
-        )
-        return f"PlaneArrangementPair({inner})"
+        object.__setattr__(self, "components", tuple(kept))
 
 
 def anticanonical_degree(pair: PlaneArrangementPair) -> Fraction:

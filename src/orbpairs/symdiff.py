@@ -22,7 +22,7 @@ from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError
 # the caller raises it explicitly.
 DEFAULT_ENUMERATION_LIMIT = 200
 # p * N * q does not bound the count of multi-indices, sum over N of
-# C(C(p, q) + N - 1, N); this cap on the count has no override.
+# C(C(p, q) + N - 1, N), or a shard's own count; this cap has no override.
 _MAX_MULTI_INDICES = 10**6
 
 
@@ -132,17 +132,25 @@ def multi_indices(
     subset equals it is produced; the shards over all q-subsets partition
     the full enumeration.
     """
-    subsets = list(combinations(range(1, p + 1), q))
     if first_subset is None:
-        for combo in combinations_with_replacement(subsets, n):
+        for combo in combinations_with_replacement(combinations(range(1, p + 1), q), n):
             yield MultiIndexJ(p, q, combo)
         return
+    first, tail = _shard_tail(p, q, first_subset)
+    for combo in combinations_with_replacement(tail, n - 1):
+        yield MultiIndexJ(p, q, (first,) + combo)
+
+
+def _shard_tail(
+    p: int, q: int, first_subset: tuple[int, ...]
+) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """A shard's canonical first subset and the q-subsets of 1..p at or
+    after it in canonical order, the ones the rest of the shard draws from."""
+    subsets = list(combinations(range(1, p + 1), q))
     first = tuple(sorted(first_subset))
     if first not in subsets:
         raise DomainError(f"{first} is not a q-subset of 1..{p}")
-    tail = [s for s in subsets if s >= first]
-    for combo in combinations_with_replacement(tail, n - 1):
-        yield MultiIndexJ(p, q, (first,) + combo)
+    return first, [s for s in subsets if s >= first]
 
 
 @dataclass(frozen=True)
@@ -172,10 +180,10 @@ def check_positive_floor(
     has some strictly positive floor exponent.
 
     Enumerates all multi-indices for N = threshold .. threshold + extra and
-    reports counterexamples (expected: none).  Refuses to run if
-    p * N * q exceeds ``limit`` or the full enumeration has more than
-    10^6 multi-indices.  ``first_subset`` restricts to one shard of the
-    enumeration, keyed by the smallest subset.
+    reports counterexamples (expected: none).  ``first_subset`` restricts
+    to one shard of the enumeration, keyed by the smallest subset.  Refuses
+    to run if p * N * q exceeds ``limit`` or the multi-indices to check (the
+    shard's own, for a shard) number more than 10^6.
     """
     if not 1 <= q <= p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -195,10 +203,15 @@ def check_positive_floor(
             f"raise the limit explicitly to proceed"
         )
     n_values = tuple(range(threshold, threshold + extra + 1))
-    subsets = math.comb(p, q)
+    # the full enumeration draws N subsets from all C(p, q); a shard fixes
+    # its first subset and draws the other N - 1 from its tail
+    if first_subset is None:
+        pool, fixed = math.comb(p, q), 0
+    else:
+        pool, fixed = len(_shard_tail(p, q, first_subset)[1]), 1
     count = 0
     for n in n_values:
-        count += math.comb(subsets + n - 1, n)
+        count += math.comb(pool + n - fixed - 1, n - fixed)
         if count > _MAX_MULTI_INDICES:
             raise DomainError(
                 f"enumeration for N = {threshold}..{threshold + extra} has more than "

@@ -122,6 +122,19 @@ class TestPositiveFloor:
             shard_counts += rep.checked
         assert shard_counts == full.checked
 
+    def test_small_shard_of_large_enumeration_runs(self):
+        # the full N = 6..7 enumeration is over the cap; the shard of the
+        # last subset has one multi-index for each N
+        rep = check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 9))
+        assert rep.ok
+        assert rep.checked == 2
+
+    def test_shard_first_subset_validated_before_counting(self):
+        with pytest.raises(DomainError, match="is not a q-subset of 1..9"):
+            check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 10))
+        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
+            check_positive_floor(9, 3, [2] * 9, first_subset=(1, 2, 3))
+
 
 class TestRelativeExponent:
     def test_examples(self):
