@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from typing import Iterable, Sequence
 
 from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
@@ -132,25 +132,38 @@ def multi_indices(
     subset equals it is produced; the shards over all q-subsets partition
     the full enumeration.
     """
+    for _, subsets in _subset_tuples(p, q, (n,), first_subset):
+        yield MultiIndexJ(p, q, subsets)
+
+
+def _subset_tuples(
+    p: int, q: int, n_values: Sequence[int], first_subset: tuple[int, ...] | None
+) -> Iterable[tuple[int, tuple[tuple[int, ...], ...]]]:
+    """(N, subsets) for each N in ``n_values`` and each canonical N-tuple of
+    q-subsets of 1..p, in canonical order; for a shard, only the tuples
+    that start with its first subset, the rest drawn from the subsets at or
+    after it."""
+    subsets = combinations(range(1, p + 1), q)
     if first_subset is None:
-        for combo in combinations_with_replacement(combinations(range(1, p + 1), q), n):
-            yield MultiIndexJ(p, q, combo)
-        return
-    first, tail = _shard_tail(p, q, first_subset)
-    for combo in combinations_with_replacement(tail, n - 1):
-        yield MultiIndexJ(p, q, (first,) + combo)
+        prefix, pool = (), tuple(subsets)
+    else:
+        first, rank = _shard_first(p, q, first_subset)
+        prefix, pool = (first,), tuple(islice(subsets, rank, None))
+    for n in n_values:
+        for combo in combinations_with_replacement(pool, n - len(prefix)):
+            yield n, prefix + combo
 
 
-def _shard_tail(
-    p: int, q: int, first_subset: tuple[int, ...]
-) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """A shard's canonical first subset and the q-subsets of 1..p at or
-    after it in canonical order, the ones the rest of the shard draws from."""
-    subsets = list(combinations(range(1, p + 1), q))
+def _shard_first(p: int, q: int, first_subset: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
+    """A shard's canonical first subset and its rank among the q-subsets of
+    1..p in canonical (lexicographic) order."""
     first = tuple(sorted(first_subset))
-    if first not in subsets:
+    if len(first) != q or len(set(first)) != q or not all(1 <= j <= p for j in first):
         raise DomainError(f"{first} is not a q-subset of 1..{p}")
-    return first, [s for s in subsets if s >= first]
+    # the subsets after `first` are, position by position, those that agree
+    # with it before position i and exceed it at i: C(p - c_i, q - i) of them
+    after = sum(math.comb(p - c, q - i) for i, c in enumerate(first))
+    return first, math.comb(p, q) - 1 - after
 
 
 @dataclass(frozen=True)
@@ -204,27 +217,37 @@ def check_positive_floor(
         )
     n_values = tuple(range(threshold, threshold + extra + 1))
     # the full enumeration draws N subsets from all C(p, q); a shard fixes
-    # its first subset and draws the other N - 1 from its tail
+    # its first subset and draws the other N - 1 from those at or after it
     if first_subset is None:
-        pool, fixed = math.comb(p, q), 0
+        drawn, fixed = math.comb(p, q), 0
     else:
-        pool, fixed = len(_shard_tail(p, q, first_subset)[1]), 1
+        drawn, fixed = math.comb(p, q) - _shard_first(p, q, first_subset)[1], 1
     count = 0
     for n in n_values:
-        count += math.comb(pool + n - fixed - 1, n - fixed)
+        count += math.comb(drawn + n - fixed - 1, n - fixed)
         if count > _MAX_MULTI_INDICES:
             raise DomainError(
                 f"enumeration for N = {threshold}..{threshold + extra} has more than "
                 f"{_MAX_MULTI_INDICES} multi-indices of {q}-subsets of 1..{p}"
             )
+    # floor(k(1 - 1/m)) does not decrease in k, so index j has a positive
+    # floor exponent exactly when its occupancy reaches need[j], the least
+    # k <= N with a positive floor (N + 1 if there is none)
+    n_max = n_values[-1]
+    need = [
+        next((k for k in range(n_max + 1) if floor_coefficient_multiple(k, m) > 0), n_max + 1)
+        for m in ms
+    ]
     checked = 0
     bad: list[tuple[int, MultiIndexJ]] = []
-    for n in n_values:
-        for j in multi_indices(p, q, n, first_subset):
-            checked += 1
-            k = occupancy(j)
-            if not any(floor_coefficient_multiple(kj, m) > 0 for kj, m in zip(k, ms)):
-                bad.append((n, j))
+    for n, subsets in _subset_tuples(p, q, n_values, first_subset):
+        checked += 1
+        counts = [0] * p
+        for subset in subsets:
+            for idx in subset:
+                counts[idx - 1] += 1
+        if not any(k >= t for k, t in zip(counts, need)):
+            bad.append((n, MultiIndexJ(p, q, subsets)))
     return PositiveFloorReport(
         p=p,
         q=q,

@@ -4,14 +4,14 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from orbpairs import symdiff
-from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, SelfCheckError
+from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, SelfCheckError, as_multiplicity
 from orbpairs.symdiff import (
     MultiIndexJ,
     ceil_quotient,
@@ -25,6 +25,7 @@ from orbpairs.symdiff import (
     positive_floor_threshold,
     relative_exponent,
 )
+from timeguard import time_guard
 
 
 class TestOccupancy:
@@ -134,6 +135,88 @@ class TestPositiveFloor:
             check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 10))
         with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
             check_positive_floor(9, 3, [2] * 9, first_subset=(1, 2, 3))
+
+
+def reference_positive_floor(p, q, mults, extra, first_subset=None):
+    """The check as it was written before it compared occupancies with
+    per-index thresholds: every multi-index built, its occupancy taken, and
+    the floor exponent of each index computed.  A shard is the part of the
+    full enumeration whose smallest subset is ``first_subset``."""
+    ms = tuple(as_multiplicity(m) for m in mults)
+    threshold = positive_floor_threshold(p, q, ms)
+    n_values = tuple(range(threshold, threshold + extra + 1))
+    checked, bad = 0, []
+    for n in n_values:
+        for j in multi_indices(p, q, n):
+            if first_subset is not None and j.subsets[0] != first_subset:
+                continue
+            checked += 1
+            k = occupancy(j)
+            if not any(symdiff.floor_coefficient_multiple(kj, m) > 0 for kj, m in zip(k, ms)):
+                bad.append((n, j))
+    return threshold, n_values, checked, tuple(bad)
+
+
+def assert_matches_reference(p, q, mults, extra):
+    for first in [None, *combinations(range(1, p + 1), q)]:
+        report = check_positive_floor(p, q, mults, extra=extra, first_subset=first)
+        got = (report.threshold, report.n_values, report.checked, report.counterexamples)
+        assert got == reference_positive_floor(p, q, mults, extra, first), (p, q, mults, first)
+
+
+POSITIVE_FLOOR_MULTS = (Fraction(3, 2), 2, Fraction(5, 2), 3, INFINITY)
+
+
+class TestPositiveFloorAgainstReference:
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_reports_match(self, p):
+        vectors = list(combinations_with_replacement(POSITIVE_FLOOR_MULTS, p))
+        if p == 4:
+            vectors = vectors[::7]
+        for q in range(1, p + 1):
+            for mults in vectors:
+                assert_matches_reference(p, q, list(mults), extra=1)
+
+    def test_counterexamples_match_with_an_index_never_positive(self, monkeypatch):
+        # the check must take each index's threshold from the floor function
+        # itself: with m = 5/2 never positive, the multi-indices that put
+        # too little weight elsewhere become counterexamples
+        floor = symdiff.floor_coefficient_multiple
+        never = Multiplicity(Fraction(5, 2))
+        monkeypatch.setattr(
+            symdiff, "floor_coefficient_multiple", lambda k, m: 0 if m == never else floor(k, m)
+        )
+        cases = [
+            (3, 1, [2, Fraction(5, 2), 3]),
+            (3, 2, [Fraction(5, 2), Fraction(5, 2), 4]),
+            (3, 1, [Fraction(5, 2), INFINITY, 2]),
+            (4, 2, [Fraction(5, 2), 3, Fraction(5, 2), Fraction(3, 2)]),
+            (2, 1, [Fraction(5, 2), Fraction(5, 2)]),
+        ]
+        for p, q, mults in cases:
+            assert not check_positive_floor(p, q, mults, extra=2).ok
+            assert_matches_reference(p, q, mults, extra=2)
+
+    def test_shard_rank_is_listed_index(self):
+        for p in range(1, 9):
+            for q in range(1, p + 1):
+                for index, subset in enumerate(combinations(range(1, p + 1), q)):
+                    assert symdiff._shard_first(p, q, subset) == (subset, index)
+
+    def test_shard_first_subset_checked_directly(self):
+        assert symdiff._shard_first(5, 3, (4, 1, 2)) == ((1, 2, 4), 1)
+        for bad in [(1, 2), (1, 2, 3, 4), (1, 1, 2), (0, 1, 2), (1, 2, 6)]:
+            with pytest.raises(DomainError, match=r"is not a q-subset of 1\.\.5"):
+                symdiff._shard_first(5, 3, bad)
+            with pytest.raises(DomainError, match=r"is not a q-subset of 1\.\.5"):
+                list(multi_indices(5, 3, 2, first_subset=bad))
+
+    def test_last_subset_shard_of_large_pool_is_fast(self):
+        # C(20, 10) = 184,756 subsets; the shard of the last one has one
+        # multi-index for each of N = 4, 5
+        with time_guard(1):
+            rep = check_positive_floor(20, 10, [2] * 20, limit=10**6, first_subset=tuple(range(11, 21)))
+        assert rep.ok and rep.checked == 2
 
 
 class TestRelativeExponent:
