@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,8 +34,6 @@ from . import curveclass, curverestrict, fibration, mordell, planepairs, symdiff
 from .curveclass import Kappa
 from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
 from .specparse import ParseResult, SpecDocument, parse
-
-_SYMDIFF_LIMIT_ENV = "ORBPAIRS_SYMDIFF_LIMIT"
 
 Result = tuple[dict, dict, list]
 
@@ -190,11 +187,7 @@ def cmd_symdiff_check(args: argparse.Namespace, doc: None) -> Result:
         _natural(part, f"multiplicities must be comma-separated integers, got {part!r}")
         for part in map(str.strip, args.mults.split(","))
     ]
-    limit = symdiff.DEFAULT_ENUMERATION_LIMIT
-    env = os.environ.get(_SYMDIFF_LIMIT_ENV)
-    if env is not None:
-        limit = _natural(env, f"{_SYMDIFF_LIMIT_ENV} must be an integer, got {env!r}")
-    report = symdiff.check_positive_floor(args.p, args.q, mults, extra=args.extra, limit=limit)
+    report = symdiff.check_positive_floor(args.p, args.q, mults, extra=args.extra)
     shown = {
         "threshold": report.threshold,
         "n_values": report.n_values,

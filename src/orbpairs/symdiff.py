@@ -11,6 +11,7 @@ two-sided bound.  Sheaves themselves are never materialized.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, islice
@@ -18,12 +19,10 @@ from typing import Iterable, Sequence
 
 from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
 
-# Exhaustive enumerations refuse to run past this bound on p * N * q unless
-# the caller raises it explicitly.
-DEFAULT_ENUMERATION_LIMIT = 200
-# p * N * q does not bound the count of multi-indices, sum over N of
-# C(C(p, q) + N - 1, N), or a shard's own count; this cap has no override.
-_MAX_MULTI_INDICES = 10**6
+# The most steps (see _steps) one positive-floor check may take; it has no
+# override.  The most that a run within the former bounds (200 on p * N * q,
+# 10^6 multi-indices) took is 40,320,090, at p = 5, q = 3, N = 11..13.
+_MAX_STEPS = 41 * 10**6
 
 
 @dataclass(frozen=True)
@@ -132,7 +131,11 @@ def multi_indices(
     subset equals it is produced; the shards over all q-subsets partition
     the full enumeration.
     """
-    for _, subsets in _subset_tuples(p, q, (n,), first_subset):
+    if n < 0:
+        raise DomainError(f"need n >= 0, got {n}")
+    # every multi-index of a shard holds its first subset, so none has n = 0
+    n_values = (n,) if n or first_subset is None else ()
+    for _, subsets in _subset_tuples(p, q, n_values, first_subset):
         yield MultiIndexJ(p, q, subsets)
 
 
@@ -166,6 +169,25 @@ def _shard_first(p: int, q: int, first_subset: tuple[int, ...]) -> tuple[tuple[i
     return first, math.comb(p, q) - 1 - after
 
 
+def _steps(p: int, q: int, n_values: Iterable[int], first_subset: tuple[int, ...] | None) -> int:
+    """The steps of checking every multi-index for each N in ``n_values``:
+    the subsets a shard skips to reach its first subset, plus N * q + p per
+    multi-index (its occupancy increments and threshold comparisons).
+    Exact up to _MAX_STEPS; past it, counting stops with some larger number."""
+    fixed = 0 if first_subset is None else 1
+    steps = _shard_first(p, q, first_subset)[1] if fixed else 0
+    drawn = math.comb(p, q) - steps
+    for n in n_values:
+        cost, k = n * q + p, n - fixed
+        # a draw of k >= 1 subsets has at least `drawn` outcomes, so a pool
+        # that large is over the bound before math.comb is asked
+        over = k and drawn * cost > _MAX_STEPS
+        steps += (drawn if over else math.comb(drawn + k - 1, k)) * cost
+        if steps > _MAX_STEPS:
+            break
+    return steps
+
+
 @dataclass(frozen=True)
 class PositiveFloorReport:
     p: int
@@ -186,7 +208,6 @@ def check_positive_floor(
     q: int,
     mults: Sequence[MultiplicityLike],
     extra: int = 1,
-    limit: int = DEFAULT_ENUMERATION_LIMIT,
     first_subset: tuple[int, ...] | None = None,
 ) -> PositiveFloorReport:
     """Exhaustively verify that at and above the threshold every multi-index
@@ -195,8 +216,7 @@ def check_positive_floor(
     Enumerates all multi-indices for N = threshold .. threshold + extra and
     reports counterexamples (expected: none).  ``first_subset`` restricts
     to one shard of the enumeration, keyed by the smallest subset.  Refuses
-    to run if p * N * q exceeds ``limit`` or the multi-indices to check (the
-    shard's own, for a shard) number more than 10^6.
+    to run past _MAX_STEPS steps.
     """
     if not 1 <= q <= p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -209,33 +229,17 @@ def check_positive_floor(
         if m.is_finite and m.finite_value() <= 1:
             raise DomainError("positive-floor check requires all multiplicities > 1")
     threshold = positive_floor_threshold(p, q, ms)
-    worst = p * (threshold + extra) * q
-    if worst > limit:
+    n_values = range(threshold, threshold + extra + 1)
+    if _steps(p, q, n_values, first_subset) > _MAX_STEPS:
         raise DomainError(
-            f"enumeration size p*N*q = {worst} exceeds the limit {limit}; "
-            f"raise the limit explicitly to proceed"
+            f"enumeration for N = {threshold}..{threshold + extra} over {q}-subsets "
+            f"of 1..{p} takes more than {_MAX_STEPS} steps"
         )
-    n_values = tuple(range(threshold, threshold + extra + 1))
-    # the full enumeration draws N subsets from all C(p, q); a shard fixes
-    # its first subset and draws the other N - 1 from those at or after it
-    if first_subset is None:
-        drawn, fixed = math.comb(p, q), 0
-    else:
-        drawn, fixed = math.comb(p, q) - _shard_first(p, q, first_subset)[1], 1
-    count = 0
-    for n in n_values:
-        count += math.comb(drawn + n - fixed - 1, n - fixed)
-        if count > _MAX_MULTI_INDICES:
-            raise DomainError(
-                f"enumeration for N = {threshold}..{threshold + extra} has more than "
-                f"{_MAX_MULTI_INDICES} multi-indices of {q}-subsets of 1..{p}"
-            )
     # floor(k(1 - 1/m)) does not decrease in k, so index j has a positive
-    # floor exponent exactly when its occupancy reaches need[j], the least
-    # k <= N with a positive floor (N + 1 if there is none)
-    n_max = n_values[-1]
+    # floor exponent once its occupancy reaches need[j], the least such k <= N
+    # (N + 1 if none), found by bisection: for m near 1 it is far from 0
     need = [
-        next((k for k in range(n_max + 1) if floor_coefficient_multiple(k, m) > 0), n_max + 1)
+        bisect_left(range(n_values[-1] + 1), True, key=lambda k: floor_coefficient_multiple(k, m) > 0)
         for m in ms
     ]
     checked = 0
@@ -253,7 +257,7 @@ def check_positive_floor(
         q=q,
         mults=ms,
         threshold=threshold,
-        n_values=n_values,
+        n_values=tuple(n_values),
         checked=checked,
         counterexamples=tuple(bad),
     )

@@ -289,19 +289,17 @@ class TestExitCodes:
         assert sorted(points.values()) == [1, 2, 4, 6, 8, 12, 24, 48]
         assert "s-u" in points and "s^2+s*u+u^2" in points
 
-    def test_symdiff_count_cap(self, monkeypatch, capsys):
-        # p*N*q = 9*7*3 = 189 passes the limit of 200, but N = 6, 7 over the
-        # 84 3-subsets of 1..9 make C(89, 6) + C(90, 7) = 8,052,482,548
-        # multi-indices; the cap on that count has no override
-        argv = ["symdiff-check", "--p", "9", "--q", "3", "--mults", "2,2,2,2,2,2,2,2,2"]
-        for env in (None, "100000"):
-            if env:
-                monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", env)
+    def test_symdiff_count_cap(self, capsys):
+        # N = 6, 7 over the 84 3-subsets of 1..9 make C(89, 6) + C(90, 7) =
+        # 8,052,482,548 multi-indices; N = 18 over the 9 1-subsets makes
+        # C(26, 18) = 1,562,275 of 27 steps each, 42,181,425 steps
+        for q, extra, n in [("3", "1", "6..7"), ("1", "0", "18..18")]:
+            argv = ["symdiff-check", "--p", "9", "--q", q, "--mults", "2,2,2,2,2,2,2,2,2", "--extra", extra]
             with time_guard(5):
                 assert main(argv) == 1
             assert capsys.readouterr().err == (
-                "error: enumeration for N = 6..7 has more than 1000000 "
-                "multi-indices of 3-subsets of 1..9\n"
+                f"error: enumeration for N = {n} over {q}-subsets of 1..9 "
+                "takes more than 41000000 steps\n"
             )
 
     def test_symdiff_limit_checked_before_listing_n(self, capsys):
@@ -309,7 +307,10 @@ class TestExitCodes:
             code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2,2",
                          "--extra", str(10**15)])
         assert code == 1
-        assert "exceeds the limit 200" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            "error: enumeration for N = 4..1000000000000004 over 1-subsets of 1..2 "
+            "takes more than 41000000 steps\n"
+        )
 
 
 class TestParserReuse:
@@ -354,18 +355,3 @@ class TestParserReuse:
         monkeypatch.setenv("COLUMNS", "200")
         wide = self.call(["--help"], capsys)[1]
         assert len(narrow.splitlines()) > len(wide.splitlines())
-
-
-class TestSymdiffLimitOverride:
-    def test_env_override(self, monkeypatch, capsys):
-        argv = ["symdiff-check", "--p", "4", "--q", "1", "--mults", "2,2,2,2", "--extra", "2"]
-        monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", "10")
-        assert main(argv) == 1
-        assert "exceeds the limit" in capsys.readouterr().err
-        monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", "400")
-        assert main(argv) == 0
-
-    def test_overlong_env_value_is_domain_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("ORBPAIRS_SYMDIFF_LIMIT", "1" * 5000)
-        assert main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2,2"]) == 1
-        assert capsys.readouterr().err.startswith("error: ORBPAIRS_SYMDIFF_LIMIT must be an integer")

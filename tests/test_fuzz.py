@@ -54,7 +54,7 @@ VALUES = [
     "n", "c", "L", "pencil12", "chain", "doublecover", "gt237", "search273", "fano3357",
     "lines234", "node234", "nodeline", "twologlines", "inf", "gcd", "classical", "Z", "Q",
     "plus", "minus", "0", "1", "2", "3", "-1", "9", "10", "105", "2,2", "2,x",
-    "2,2,2,2,2,2,2,2,2", "1" * 5000,
+    "2,2,2,2,2,2,2,2,2", "1000000000000000", "1" * 5000,
 ]
 FLAGS = ["-f", "/nonexistent.orb", "--json", "--help", "--mode", "--against", "--variant",
          "--max-a", "--max-b", "--max", "--sign", "--p", "--q", "--limit", "--density",

@@ -94,17 +94,35 @@ class TestPositiveFloor:
             check_positive_floor(2, 3, [2, 2])
 
     def test_limit_enforced(self):
-        with pytest.raises(DomainError):
-            check_positive_floor(4, 1, [2, 2, 2, 2], limit=10)
+        # N = 8..10: 671 multi-indices, 8,844 steps
+        assert check_positive_floor(4, 1, [2, 2, 2, 2], extra=2).checked == 671
+        # N = 18: C(26, 18) = 1,562,275 multi-indices of 27 steps each
+        with pytest.raises(DomainError, match=r"N = 18\.\.18 over 1-subsets of 1\.\.9 takes more than 41000000 steps"):
+            check_positive_floor(9, 1, [2] * 9, extra=0)
 
     def test_multi_index_count_capped(self):
-        # within the p*N*q limit, but 8,052,482,548 multi-indices
-        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
+        # p*N*q = 189, but 8,052,482,548 multi-indices
+        with pytest.raises(DomainError, match=r"N = 6\.\.7 over 3-subsets of 1\.\.9 takes more than 41000000 steps"):
             check_positive_floor(9, 3, [2] * 9)
-        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
-            check_positive_floor(9, 3, [2] * 9, limit=10**9)
         # q = 7: 36 subsets, N = 3 alone gives C(38, 3) = 8436
         assert check_positive_floor(9, 7, [2] * 9, extra=0).checked == 8436
+
+    def test_large_enumerations_refused_at_once(self):
+        with time_guard(1):
+            for args, kwargs in [
+                ((2, 1, [2, 2]), {"extra": 10**15}),
+                ((40, 20, [2] * 40), {}),
+                # the last subset's rank is C(36, 18) - 1 = 9,075,135,299
+                ((36, 18, [2] * 36), {"first_subset": tuple(range(19, 37))}),
+            ]:
+                with pytest.raises(DomainError, match="takes more than 41000000 steps"):
+                    check_positive_floor(*args, **kwargs)
+
+    def test_threshold_far_from_zero_is_found_quickly(self):
+        # m = 1 + 1/10^6: no floor exponent is positive below k = 10^6 + 1
+        with time_guard(2):
+            rep = check_positive_floor(1, 1, [Fraction(10**6 + 1, 10**6)], extra=0)
+        assert rep.ok and rep.n_values == (10**6 + 1,) and rep.checked == 1
 
     def test_shard_merge_equals_full(self):
         p, q, n = 3, 2, 3
@@ -124,7 +142,7 @@ class TestPositiveFloor:
         assert shard_counts == full.checked
 
     def test_small_shard_of_large_enumeration_runs(self):
-        # the full N = 6..7 enumeration is over the cap; the shard of the
+        # the full N = 6..7 enumeration is over the bound; the shard of the
         # last subset has one multi-index for each N
         rep = check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 9))
         assert rep.ok
@@ -133,8 +151,57 @@ class TestPositiveFloor:
     def test_shard_first_subset_validated_before_counting(self):
         with pytest.raises(DomainError, match="is not a q-subset of 1..9"):
             check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 10))
-        with pytest.raises(DomainError, match="more than 1000000 multi-indices"):
+        with pytest.raises(DomainError, match="takes more than 41000000 steps"):
             check_positive_floor(9, 3, [2] * 9, first_subset=(1, 2, 3))
+
+    def test_multi_indices_of_n_zero_and_below(self):
+        assert [j.subsets for j in multi_indices(3, 2, 0)] == [()]
+        # every multi-index of a shard holds its first subset
+        assert list(multi_indices(3, 2, 0, first_subset=(1, 2))) == []
+        for first in [None, (1, 2)]:
+            with pytest.raises(DomainError, match="need n >= 0"):
+                list(multi_indices(3, 2, -1, first_subset=first))
+
+
+class TestStepCount:
+    def test_admits_every_run_the_former_bounds_admitted(self):
+        # the former bounds admitted N_lo..N_hi when N_lo >= ceil(p / q)
+        # (the threshold at m = oo), p * N_hi * q <= 200 and there were at
+        # most 10^6 multi-indices
+        admitted, most = 0, 0
+        for p in range(1, 201):
+            for q in range(1, p + 1):
+                n_top, pool = 200 // (p * q), math.comb(p, q)
+                for lo in range(-(-p // q), n_top + 1):
+                    count = 0
+                    for hi in range(lo, n_top + 1):
+                        count += math.comb(pool + hi - 1, hi)
+                        if count > 10**6:
+                            break
+                        admitted += 1
+                        most = max(most, symdiff._steps(p, q, range(lo, hi + 1), None))
+        assert admitted == 32328
+        assert most == 40_320_090 <= symdiff._MAX_STEPS
+
+    def test_large_pool_refused_before_math_comb(self):
+        # computing C(9 * 10^5 - 1, 6 * 10^5) alone takes seconds
+        p = 3 * 10**5
+        with time_guard(1):
+            assert symdiff._steps(p, 1, range(2 * p, 2 * p + 2), None) > symdiff._MAX_STEPS
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_count_matches_enumeration(self, p):
+        for q in range(1, p + 1):
+            subsets = list(combinations(range(1, p + 1), q))
+            for first in [None, *subsets]:
+                rank = 0 if first is None else subsets.index(first)
+                for lo in range(1, 5):
+                    for hi in range(lo, 5):
+                        n_values = range(lo, hi + 1)
+                        enumerated = sum(
+                            n * q + p for n in n_values for _ in multi_indices(p, q, n, first)
+                        )
+                        assert symdiff._steps(p, q, n_values, first) - rank == enumerated
 
 
 def reference_positive_floor(p, q, mults, extra, first_subset=None):
@@ -215,7 +282,7 @@ class TestPositiveFloorAgainstReference:
         # C(20, 10) = 184,756 subsets; the shard of the last one has one
         # multi-index for each of N = 4, 5
         with time_guard(1):
-            rep = check_positive_floor(20, 10, [2] * 20, limit=10**6, first_subset=tuple(range(11, 21)))
+            rep = check_positive_floor(20, 10, [2] * 20, first_subset=tuple(range(11, 21)))
         assert rep.ok and rep.checked == 2
 
 
@@ -316,7 +383,7 @@ class TestSelfChecksSurviveOptimize:
             """
             import sys
             from orbpairs import planepairs, symdiff
-            from orbpairs.orbcore import SelfCheckError
+            from orbpairs.orbcore import DomainError, SelfCheckError
 
             def ceil_instead_of_floor(k, m):
                 n = m.finite_value().numerator
@@ -336,6 +403,11 @@ class TestSelfChecksSurviveOptimize:
                     print(f"{name}=passed")
                 except SelfCheckError:
                     print(f"{name}=SelfCheckError")
+            try:
+                symdiff.check_positive_floor(9, 1, [2] * 9, extra=0)
+                print("budget=passed")
+            except DomainError:
+                print("budget=DomainError")
             """
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -346,4 +418,5 @@ class TestSelfChecksSurviveOptimize:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [
             "optimize=1", "ok=False", "checked=336", "generator=SelfCheckError", "familydim=SelfCheckError",
+            "budget=DomainError",
         ]
