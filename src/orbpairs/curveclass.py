@@ -45,11 +45,9 @@ class CurveOrbifold:
             raise DomainError(f"genus must be a nonnegative integer, got {self.genus!r}")
 
     @classmethod
-    def from_multiplicities(
-        cls, genus: int, mults: Iterable[MultiplicityLike], prefix: str = "p"
-    ) -> "CurveOrbifold":
+    def from_multiplicities(cls, genus: int, mults: Iterable[MultiplicityLike]) -> "CurveOrbifold":
         """Convenience constructor labeling the marks p1, p2, ..."""
-        entries = [(f"{prefix}{i}", as_multiplicity(m)) for i, m in enumerate(mults, start=1)]
+        entries = [(f"p{i}", as_multiplicity(m)) for i, m in enumerate(mults, start=1)]
         return cls(genus, OrbifoldDivisor(entries))
 
 

@@ -30,7 +30,7 @@ from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .orbcore import DomainError
+from .orbcore import DomainError, SelfCheckError
 
 QPoly = tuple[Fraction, ...]
 IPoly = tuple[int, ...]
@@ -156,7 +156,7 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
             out.append((a, i))
         b, c = _divide(b, a), _divide(d, a)
         if b is None or c is None:
-            raise ArithmeticError("inexact division in squarefree decomposition")
+            raise SelfCheckError("inexact division in squarefree decomposition")
         d = _sub(c, _deriv(b))
         i += 1
     return out
@@ -417,7 +417,7 @@ def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
         for _ in range(e):
             check = _mul(check, irr)
     if tuple(check) != prim:
-        raise ArithmeticError("factorization self-check failed")
+        raise SelfCheckError("factorization self-check failed")
     return content, factors
 
 
@@ -600,47 +600,29 @@ class HomogeneousPoly3:
 # rendering
 
 
-def _render_coeff(c: Fraction, varpart: str, first: bool) -> str:
-    sign = "-" if c < 0 else ("" if first else "+")
-    mag = abs(c)
-    if varpart and mag == 1:
-        return f"{sign}{varpart}"
-    if varpart:
-        return f"{sign}{mag}*{varpart}"
-    return f"{sign}{mag}"
-
-
-def _varpart(pairs: Sequence[tuple[str, int]]) -> str:
-    parts = []
-    for name, e in pairs:
-        if e == 0:
+def _render(terms: Iterable[tuple[Sequence[int], Fraction]], names: Sequence[str]) -> str:
+    """The nonzero terms in the order given: a sign, the magnitude unless
+    it is 1 before a monomial, and the monomial, with exponent 1 left off."""
+    chunks = []
+    for expo, c in terms:
+        if c == 0:
             continue
-        parts.append(name if e == 1 else f"{name}^{e}")
-    return "*".join(parts)
+        monomial = "*".join(v if e == 1 else f"{v}^{e}" for v, e in zip(names, expo) if e)
+        if not monomial:
+            body = str(abs(c))
+        elif abs(c) == 1:
+            body = monomial
+        else:
+            body = f"{abs(c)}*{monomial}"
+        chunks.append(("-" if c < 0 else "+") + body)
+    return "".join(chunks).removeprefix("+") or "0"
 
 
 def render_poly2(form: HomogeneousPoly2) -> str:
-    if form.is_zero:
-        return "0"
-    chunks = []
-    first = True
-    for i in range(form.degree, -1, -1):
-        c = form.coeffs[i]
-        if c == 0:
-            continue
-        varpart = _varpart((("s", i), ("u", form.degree - i)))
-        chunks.append(_render_coeff(c, varpart, first))
-        first = False
-    return "".join(chunks)
+    d = form.degree
+    return _render((((i, d - i), form.coeffs[i]) for i in range(d, -1, -1)), ("s", "u"))
 
 
 def render_poly3(form: HomogeneousPoly3) -> str:
-    if form.is_zero:
-        return "0"
-    chunks = []
-    first = True
-    for (i, j, k), c in sorted(form.terms, key=lambda t: (-t[0][0], -t[0][1])):
-        varpart = _varpart((("x0", i), ("x1", j), ("x2", k)))
-        chunks.append(_render_coeff(c, varpart, first))
-        first = False
-    return "".join(chunks)
+    terms = sorted(form.terms, key=lambda t: (-t[0][0], -t[0][1]))
+    return _render(terms, ("x0", "x1", "x2"))

@@ -36,7 +36,7 @@ from .orbcore import (
     too_long_to_print,
 )
 from .planepairs import PlaneArrangementPair
-from .polynomials import HomogeneousPoly2, HomogeneousPoly3, render_poly2, render_poly3
+from .polynomials import HomogeneousPoly2, HomogeneousPoly3
 
 # Parenthesised polynomial sub-expressions nest at most this deep; each level
 # costs a few Python frames, so deeper input is reported as a parse error
@@ -88,56 +88,48 @@ _PLANE_VARIABLES = ("x0", "x1", "x2")
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
+    """Tokens and bad-character diagnostics; every column is a character's
+    offset from the start of its line, plus one."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, col = 1, 1
+    line, line_start = 1, 0
     i = 0
     n = len(source)
     while i < n:
         ch = source[i]
         if ch == "\n":
-            line += 1
-            col = 1
+            line, line_start = line + 1, i + 1
             i += 1
             continue
         if ch in " \t\r":
             i += 1
-            col += 1
             continue
-        if ch == "#":
-            while i < n and source[i] != "\n":
-                i += 1
+        if ch == "#":  # a comment runs to the end of its line
+            i = source.find("\n", i)
+            if i < 0:
+                i = n
             continue
-        if ch == "-" and i + 1 < n and source[i + 1] == ">":
-            tokens.append(Token("ARROW", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in _SYMBOLS:
-            tokens.append(Token(_SYMBOLS[ch], ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if ch.isdigit():
-            j = i
+        col = i - line_start + 1
+        j = i + 1
+        if ch == "-" and source.startswith(">", j):
+            kind, j = "ARROW", j + 1
+        elif ch in _SYMBOLS:
+            kind = _SYMBOLS[ch]
+        elif ch.isdigit():
+            kind = "NUMBER"
             while j < n and source[j].isdigit():
                 j += 1
-            tokens.append(Token("NUMBER", source[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
+        elif ch.isalpha() or ch == "_":
+            kind = "IDENT"
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
-            tokens.append(Token("IDENT", source[i:j], line, col))
-            col += j - i
+        else:
+            diagnostics.append(Diagnostic("error", line, col, f"unexpected character {ch!r}"))
             i = j
             continue
-        diagnostics.append(Diagnostic("error", line, col, f"unexpected character {ch!r}"))
-        i += 1
-        col += 1
-    tokens.append(Token("EOF", "", line, col))
+        tokens.append(Token(kind, source[i:j], line, col))
+        i = j
+    tokens.append(Token("EOF", "", line, n - line_start + 1))
     return tokens, diagnostics
 
 
@@ -742,72 +734,49 @@ def parse(source: str) -> ParseResult:
 # pretty-printing
 
 
+def _block(head: str, items: Iterable[str]) -> str:
+    """``head {``, then every line of ``items`` indented two spaces, then
+    ``}``; an item may itself be a block."""
+    body = "".join(f"\n  {line}" for line in "\n".join(items).splitlines())
+    return f"{head} {{{body}\n}}"
+
+
 def format_document(doc: SpecDocument) -> str:
-    chunks: list[str] = []
+    blocks: list[str] = []
     for name, curve in doc.curves.items():
-        lines = [f"curve {name} {{", f"  genus {curve.genus};"]
-        for label, mult in curve.marks.items():
-            lines.append(f"  point {label} mult {mult};")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+        points = [f"point {label} mult {mult};" for label, mult in curve.marks.items()]
+        blocks.append(_block(f"curve {name}", [f"genus {curve.genus};", *points]))
     for name, decl in doc.planes.items():
-        lines = [f"plane {name} {{"]
+        stmts = []
         for comp in decl.pair.components:
-            stmt = f"  component {comp.label} degree {comp.degree} mult {comp.multiplicity}"
+            stmt = f"component {comp.label} degree {comp.degree} mult {comp.multiplicity}"
             form = decl.forms.get(comp.label)
-            if form is not None:
-                stmt += f" form {render_poly3(form)}"
-            lines.append(stmt + ";")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+            stmts.append(stmt + ("" if form is None else f" form {form}") + ";")
+        blocks.append(_block(f"plane {name}", stmts))
     for name, fd in doc.fibrations.items():
-        lines = [f"fibration {name} {{"]
-        for label, comps in fd.items():
-            lines.append(f"  over {label} {{")
-            for comp in comps:
-                lines.append(f"    part t {comp.t} mult {comp.multiplicity};")
-            lines.append("  }")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+        overs = [
+            _block(f"over {label}", [f"part t {c.t} mult {c.multiplicity};" for c in comps])
+            for label, comps in fd.items()
+        ]
+        blocks.append(_block(f"fibration {name}", overs))
     for name, decl in doc.twostages.items():
-        lines = [f"twostage {name} {{"]
-        for z_label, comps in decl.data.lower.items():
-            lines.append(f"  lower {z_label} {{")
-            for comp in comps:
-                lines.append(f"    s {comp.s} -> {comp.y_label};")
-            lines.append("  }")
-        lines.append(f"  upper = {decl.upper_name};")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+        lowers = [
+            _block(f"lower {z_label}", [f"s {c.s} -> {c.y_label};" for c in comps])
+            for z_label, comps in decl.data.lower.items()
+        ]
+        blocks.append(_block(f"twostage {name}", [*lowers, f"upper = {decl.upper_name};"]))
     for name, md in doc.morphisms.items():
-        lines = [f"morphism {name} {{"]
-        for pair in md.pairs:
-            lines.append(f"  pair {pair.y_label} {pair.x_label} t {pair.t};")
-        for title, divisor in (("dX", md.delta_x), ("dY", md.delta_y)):
-            if divisor.is_zero:
-                continue
-            lines.append(f"  {title} {{")
-            for label, mult in divisor.items():
-                lines.append(f"    {label} mult {mult};")
-            lines.append("  }")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+        pairs = [f"pair {pair.y_label} {pair.x_label} t {pair.t};" for pair in md.pairs]
+        divisors = [
+            _block(title, [f"{label} mult {mult};" for label, mult in divisor.items()])
+            for title, divisor in (("dX", md.delta_x), ("dY", md.delta_y))
+            if not divisor.is_zero
+        ]
+        blocks.append(_block(f"morphism {name}", pairs + divisors))
     for name, curve in doc.paramcurves.items():
-        lines = [f"paramcurve {name} {{"]
-        for which, form in zip(("x0", "x1", "x2"), curve.coords):
-            lines.append(f"  {which} = {render_poly2(form)};")
-        lines.append("}")
-        chunks.append("\n".join(lines))
+        coords = [f"{which} = {form};" for which, form in zip(_PLANE_VARIABLES, curve.coords)]
+        blocks.append(_block(f"paramcurve {name}", coords))
     for name, triple in doc.mordells.items():
-        chunks.append(
-            "\n".join(
-                [
-                    f"mordell {name} {{",
-                    f"  p {triple.p};",
-                    f"  q {triple.q};",
-                    f"  r {triple.r};",
-                    "}",
-                ]
-            )
-        )
-    return "\n\n".join(chunks) + ("\n" if chunks else "")
+        stmts = [f"p {triple.p};", f"q {triple.q};", f"r {triple.r};"]
+        blocks.append(_block(f"mordell {name}", stmts))
+    return "\n\n".join(blocks) + ("\n" if blocks else "")

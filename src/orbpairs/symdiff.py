@@ -24,6 +24,11 @@ from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError
 # 10^6 multi-indices) took is 40,320,090, at p = 5, q = 3, N = 11..13.
 _MAX_STEPS = 41 * 10**6
 
+# The most entries, N * q, one multi-index of a positive-floor check may
+# hold; at q = 1 that tuple takes about 46 MB.  Every run within the former
+# bounds had N * q <= 200.
+_MAX_INDEX_LENGTH = 2 * 10**6
+
 
 @dataclass(frozen=True)
 class MultiIndexJ:
@@ -64,11 +69,8 @@ def floor_coefficient_multiple(k: int, m: Multiplicity) -> int:
         raise DomainError(f"occupancy must be nonnegative, got {k}")
     if m.is_infinite:
         return k
-    v = m.finite_value()
-    if v.denominator == 1:
-        n = v.numerator
-        return (k * (n - 1)) // n
-    return math.floor(k * (1 - Fraction(1, 1) / v))
+    v = m.finite_value()  # m = a/b: floor(k(1 - b/a)) = floor(k(a - b)/a)
+    return k * (v.numerator - v.denominator) // v.numerator
 
 
 def ceil_quotient(k: int, m: Multiplicity) -> int:
@@ -77,8 +79,8 @@ def ceil_quotient(k: int, m: Multiplicity) -> int:
         raise DomainError(f"occupancy must be nonnegative, got {k}")
     if m.is_infinite:
         return 0
-    v = m.finite_value()
-    return math.ceil(Fraction(k) / v)
+    v = m.finite_value()  # m = a/b: ceil(k / m) = ceil(kb / a)
+    return -(-k * v.denominator // v.numerator)
 
 
 @dataclass(frozen=True)
@@ -216,7 +218,8 @@ def check_positive_floor(
     Enumerates all multi-indices for N = threshold .. threshold + extra and
     reports counterexamples (expected: none).  ``first_subset`` restricts
     to one shard of the enumeration, keyed by the smallest subset.  Refuses
-    to run past _MAX_STEPS steps.
+    to run past _MAX_STEPS steps, or to hold a multi-index of more than
+    _MAX_INDEX_LENGTH entries.
     """
     if not 1 <= q <= p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -234,6 +237,11 @@ def check_positive_floor(
         raise DomainError(
             f"enumeration for N = {threshold}..{threshold + extra} over {q}-subsets "
             f"of 1..{p} takes more than {_MAX_STEPS} steps"
+        )
+    if n_values[-1] * q > _MAX_INDEX_LENGTH:
+        raise DomainError(
+            f"a multi-index of N = {n_values[-1]} {q}-subsets holds N*q = {n_values[-1] * q} "
+            f"entries, more than the limit {_MAX_INDEX_LENGTH}"
         )
     # floor(k(1 - 1/m)) does not decrease in k, so index j has a positive
     # floor exponent once its occupancy reaches need[j], the least such k <= N

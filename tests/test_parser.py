@@ -8,11 +8,13 @@ from hypothesis import given, settings, strategies as st
 from fraction_poly_oracle import OracleParser, oracle_parse, poly_terms
 from orbpairs.curveclass import CurveOrbifold
 from orbpairs.orbcore import INFINITY, Multiplicity, OrbifoldDivisor
-from orbpairs.specparse import Diagnostic, _Parser, format_document, parse
+from orbpairs.specparse import Diagnostic, Token, _Parser, format_document, parse, tokenize
+from text_layer_reference import tokenize as reference_tokenize
 from timeguard import time_guard
 
 SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
 GOLDEN_DIAGNOSTICS = Path(__file__).resolve().parent / "golden" / "diagnostics.json"
+GOLDEN_PRINTED = Path(__file__).resolve().parent / "golden" / "printed"
 
 
 class TestBasicDeclarations:
@@ -363,3 +365,63 @@ class TestRoundTrip:
         printed = format_document(first.document)
         second = parse(printed)
         assert second.ok and second.document == first.document
+
+
+class TestTokenizer:
+    # every symbol, the arrow, whitespace, comments, digits (including a
+    # superscript digit), identifiers (including a non-ASCII letter) and
+    # characters that are no token ('Ⅻ' is numeric but not alphabetic)
+    SOUP = [
+        "\n", "\t", "\r", " ", "#", "->", *"{};=/*^+-()",
+        "0", "7", "42", "a", "x0", "_", "curve", "inf", "²", "é", "Ⅻ", "@", ".",
+    ]
+
+    @given(st.lists(st.sampled_from(SOUP), max_size=40).map("".join))
+    @settings(max_examples=500, deadline=None)
+    def test_matches_reference(self, source):
+        tokens, diagnostics = tokenize(source)
+        expected_tokens, expected_diagnostics = reference_tokenize(source)
+        assert diagnostics == expected_diagnostics
+        last_line = source.rsplit("\n", 1)[-1]
+        if "#" in last_line:
+            # the reference gave the EOF token after a trailing comment the
+            # column of the '#'
+            eof, expected_eof = tokens.pop(), expected_tokens.pop()
+            assert (eof.kind, eof.line, eof.col) == ("EOF", expected_eof.line, len(last_line) + 1)
+        assert tokens == expected_tokens
+
+    def test_eof_column_after_trailing_comment(self):
+        tokens, _ = tokenize("curve c { genus 0; # note")
+        assert tokens[-1] == Token("EOF", "", 1, 26)
+        assert [str(d) for d in parse("curve c { genus 0; # note").diagnostics] == [
+            "1:26: error: expected rbrace, found ''"
+        ]
+
+
+# a document with every kind of block, statement and form term
+EVERY_BLOCK = """\
+curve c { genus 2; point A mult 7/3; point B mult inf; }
+curve bare { genus 1; }
+plane f { component C degree 2 mult 3 form -x0^2 + 1/2*x1*x2 - x2^2; component L degree 1 mult inf; }
+fibration g { over D { part t 2 mult 5/4; part t 1 mult inf; } over E { part t 3 mult 2; } }
+twostage h { lower F { s 2 -> D; s 1 -> E; } upper = g; }
+morphism m { pair E D t 2; pair F D t 1; dX { D mult 3; } dY { E mult 2; F mult inf; } }
+morphism plain { pair E D t 1; }
+paramcurve pc { x0 = -s^2 + 3/2*s*u; x1 = 0; x2 = u^2 - 7*s^2; }
+mordell t { p 2; q 3; r 7; }
+"""
+
+PRINTED_SOURCES = {path.stem: path.read_text(encoding="utf-8") for path in sorted(SPEC_DIR.glob("*.orb"))}
+PRINTED_SOURCES["every_block"] = EVERY_BLOCK
+
+
+class TestPrintedDocuments:
+    """format_document's output, byte for byte, for every shipped spec file
+    and one document with every block."""
+
+    @pytest.mark.parametrize("name", sorted(PRINTED_SOURCES))
+    def test_matches_golden(self, name):
+        result = parse(PRINTED_SOURCES[name])
+        assert result.ok, result.diagnostics
+        expected = (GOLDEN_PRINTED / f"{name}.txt").read_text(encoding="utf-8")
+        assert format_document(result.document) == expected

@@ -4,9 +4,10 @@ from fractions import Fraction
 from itertools import combinations, zip_longest
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from orbpairs.orbcore import DomainError
+from orbpairs import polynomials
+from orbpairs.orbcore import DomainError, SelfCheckError
 from orbpairs.polynomials import (
     HomogeneousPoly2,
     HomogeneousPoly3,
@@ -32,6 +33,8 @@ from orbpairs.polynomials import (
     render_poly3,
     squarefree_decomposition,
 )
+from text_layer_reference import render_poly2 as reference_render_poly2
+from text_layer_reference import render_poly3 as reference_render_poly3
 from timeguard import time_guard
 
 
@@ -426,6 +429,20 @@ class TestSquarefree:
         assert max(mult for _, mult in parts) >= e
 
 
+class TestSelfChecks:
+    def test_dropped_factor_is_caught(self, monkeypatch):
+        zassenhaus = polynomials._zassenhaus
+        monkeypatch.setattr(polynomials, "_zassenhaus", lambda f: zassenhaus(f)[1:])
+        with pytest.raises(SelfCheckError, match="factorization self-check failed"):
+            factor_rational(qpoly([-1, 0, 0, 0, 0, 0, 1]))
+
+    def test_inexact_squarefree_division_is_caught(self, monkeypatch):
+        # a "gcd" that does not divide x^2 + 1
+        monkeypatch.setattr(polynomials, "_gcd", lambda f, g: (1, 1))
+        with pytest.raises(SelfCheckError, match="inexact division in squarefree decomposition"):
+            squarefree_decomposition(qpoly([1, 0, 1]))
+
+
 class TestHomogeneousForms:
     def test_factor_splits_s_and_u(self):
         # s^2 * u * (s - u)
@@ -553,3 +570,39 @@ class TestHomogeneousForms:
     def test_render3(self):
         form = HomogeneousPoly3.from_dict(2, {(1, 0, 1): 1, (0, 2, 0): -1})
         assert render_poly3(form) == "x0*x2-x1^2"
+
+
+# coefficients that render differently: 0, +-1, other integers, fractions
+COEFFICIENTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(-100, 100),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+@st.composite
+def ternary_forms(draw):
+    d = draw(st.integers(0, 4))
+    monomial = st.tuples(st.integers(0, d), st.integers(0, d)).filter(lambda ij: sum(ij) <= d)
+    terms = draw(st.dictionaries(monomial.map(lambda ij: (*ij, d - sum(ij))), COEFFICIENTS, max_size=8))
+    return HomogeneousPoly3.from_dict(d, terms)
+
+
+class TestRenderingAgainstReference:
+    """The one term renderer against the former two render loops."""
+
+    @given(st.integers(0, 6).flatmap(lambda d: st.lists(COEFFICIENTS, min_size=d + 1, max_size=d + 1)))
+    @example([0])
+    @example([0, 0, 0])
+    @settings(max_examples=300)
+    def test_binary_forms(self, coeffs):
+        form = HomogeneousPoly2(len(coeffs) - 1, tuple(coeffs))
+        assert render_poly2(form) == reference_render_poly2(form)
+        assert str(form) == render_poly2(form)
+
+    @given(ternary_forms())
+    @example(HomogeneousPoly3(2, ()))
+    @settings(max_examples=300)
+    def test_ternary_forms(self, form):
+        assert render_poly3(form) == reference_render_poly3(form)
+        assert str(form) == render_poly3(form)

@@ -118,6 +118,16 @@ class TestPositiveFloor:
                 with pytest.raises(DomainError, match="takes more than 41000000 steps"):
                     check_positive_floor(*args, **kwargs)
 
+    def test_long_multi_index_refused(self):
+        # m = 1 + 1/(2*10^6) puts N = 2*10^6 + 1 at p = q = 1: one multi-index
+        # of 2,000,002 steps, within the step bound, but of N*q = 2,000,001 entries
+        with time_guard(1):
+            with pytest.raises(
+                DomainError,
+                match=r"N = 2000001 1-subsets holds N\*q = 2000001 entries, more than the limit 2000000",
+            ):
+                check_positive_floor(1, 1, [Fraction(2 * 10**6 + 1, 2 * 10**6)], extra=0)
+
     def test_threshold_far_from_zero_is_found_quickly(self):
         # m = 1 + 1/10^6: no floor exponent is positive below k = 10^6 + 1
         with time_guard(2):
@@ -374,6 +384,26 @@ class TestSuperadditivityIdentity:
         value = relative_exponent(kj, tuple(parts), m, q)
         low = floor_coefficient_multiple(parts[0], Multiplicity(m))
         assert low <= value <= q + low
+
+
+def floor_reference(k, m):
+    """floor(k(1 - 1/m)) over the rationals."""
+    return k if m.is_infinite else math.floor(k * (1 - Fraction(1) / m.finite_value()))
+
+
+def ceil_reference(k, m):
+    """ceil(k / m) over the rationals."""
+    return 0 if m.is_infinite else math.ceil(Fraction(k) / m.finite_value())
+
+
+class TestIntegerExponentFormulas:
+    def test_match_rational_formulas(self):
+        # every m = a/b with 1 <= a/b <= 10 and b <= 7, and m = oo
+        mults = {Multiplicity(Fraction(a, b)) for b in range(1, 8) for a in range(b, 10 * b + 1)}
+        for m in [*mults, INFINITY]:
+            for k in range(201):
+                assert floor_coefficient_multiple(k, m) == floor_reference(k, m), (k, m)
+                assert ceil_quotient(k, m) == ceil_reference(k, m), (k, m)
 
 
 class TestSelfChecksSurviveOptimize:
