@@ -20,6 +20,13 @@ from dataclasses import dataclass
 from .curveclass import CurveOrbifold, Kappa, kappa_curve
 from .orbcore import DomainError
 
+# Work bounds, checked before any enumeration: the sieve for p-full values
+# up to `limit` runs to limit^(1/p), and a point search tests every pair of
+# a- and b-values.  Both admit the excluded (2,3,7) search at 10^8 (primes
+# to 10^4, 1.6 * 10^6 pairs) and density reports at 10^6 with room to spare.
+_MAX_ROOT = 10**5
+_MAX_PAIRS = 10**7
+
 
 @dataclass(frozen=True)
 class OrbifoldP1Triple:
@@ -112,7 +119,12 @@ def enumerate_p_full(limit: int, p: int) -> list[int]:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if p < 2:
         raise DomainError(f"fullness exponent must be >= 2, got {p}")
-    primes = primes_up_to(integer_nth_root(limit, p))
+    root = integer_nth_root(limit, p)
+    if root > _MAX_ROOT:
+        raise DomainError(
+            f"{p}-full values up to {limit} need primes up to {root}, above the limit {_MAX_ROOT}"
+        )
+    primes = primes_up_to(root)
     out: list[int] = []
 
     def extend(start: int, value: int) -> None:
@@ -212,6 +224,11 @@ def search_points(
         b_values = [b for b in b_values if lo <= b <= hi]
     if not b_values:
         return []
+    if len(a_values) * len(b_values) > _MAX_PAIRS:
+        raise DomainError(
+            f"{len(a_values)} a-values and {len(b_values)} b-values make more than "
+            f"{_MAX_PAIRS} pairs to test"
+        )
     # every candidate |a-b| or a+b is at most this bound, so one enumeration
     # of the q-full values decides them all by membership; a = b is coprime
     # only at 1, where the candidate is 0 or 2 and neither is q-full
@@ -270,6 +287,10 @@ def integer_nth_root(n: int, k: int) -> int:
         raise DomainError(f"root index must be >= 1, got {k}")
     if n in (0, 1) or k == 1:
         return n
+    # n < 2^k, so the root is 1; this also keeps x^(k-1) below from growing
+    # to k bits for a huge k
+    if k >= n.bit_length():
+        return 1
     x = 1 << ((n.bit_length() + k - 1) // k)
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k

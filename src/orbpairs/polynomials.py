@@ -13,18 +13,25 @@ squarefree decomposition with primitive pseudo-remainder gcds and exact
 integer division, factoring modulo the first odd prime that keeps the part
 squarefree (the search is open-ended: only the finitely many primes dividing
 lc * discriminant are unusable) by distinct-degree factorization and seeded
-Cantor-Zassenhaus equal-degree splitting, quadratic Hensel lifting on a
-factor tree past the Mignotte bound, and subset recombination.  A subset
-must pass a constant-term divisibility test and a root bound on its
-next-to-top coefficient, both read from the lifted factors, before its
-product is built and confirmed by exact integer trial division.  Every
-factorization is verified by multiplying back before it is returned.
+Cantor-Zassenhaus equal-degree splitting, both raising to powers in
+GF(p)[x]/(m) on Kronecker-packed residues (one machine-integer slot per
+coefficient, so a product is one int multiply and a fold of the high slots),
+quadratic Hensel lifting on a factor tree past the Mignotte bound for
+factors of half the degree, and recombination over subsets of at most half
+the degree.  A subset must pass a constant-term divisibility test and a
+root bound on its next-to-top coefficient, both read from the lifted
+factors, before its product is built and confirmed by exact integer trial
+division.  Every factorization is verified by multiplying back before it is
+returned.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
+import struct
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -193,16 +200,102 @@ def gf_gcd(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
     return a
 
 
+class _Residues:
+    """GF(p)[x]/(m) for a fixed modulus m of degree >= 1, residues held as
+    reduced coefficient tuples: the arithmetic for primes too wide to pack."""
+
+    def __init__(self, m: GFPoly, p: int) -> None:
+        self.m, self.p = m, p
+
+    def pack(self, f: GFPoly) -> GFPoly:
+        return gf_divmod(f, self.m, self.p)[1]
+
+    def unpack(self, a: GFPoly) -> GFPoly:
+        return a
+
+    def mul(self, a: GFPoly, b: GFPoly) -> GFPoly:
+        return gf_divmod(_trim(_mul(a, b), self.p), self.m, self.p)[1]
+
+    def pow(self, a, e: int):
+        """a^e by left-to-right square-and-multiply."""
+        if not e:
+            return self.pack((1,))
+        result = a
+        for bit in bin(e)[3:]:
+            result = self.mul(result, result)
+            if bit == "1":
+                result = self.mul(result, a)
+        return result
+
+
+class _PackedResidues(_Residues):
+    """GF(p)[x]/(m) with each residue Kronecker-packed into one int, one
+    machine-integer slot per coefficient.  A product is one int multiply;
+    its high slots x^(n+j) are folded back by adding their coefficient mod p
+    times the packed row x^(n+j) mod m, and one pass takes every slot mod p.
+    No slot exceeds (2n - 1)(p - 1)^2, so `_residues` picks the narrowest
+    struct type code whose slots hold that."""
+
+    def __init__(self, m: GFPoly, p: int, code: str) -> None:
+        super().__init__(m, p)
+        n = self.n = len(m) - 1
+        self.code, self.size = code, struct.calcsize(code)
+        self.layout = struct.Struct(f"{n}{code}")
+        w = 8 * self.size
+        self.low = (1 << w * n) - 1
+        inv = pow(m[-1], -1, p)
+        # rows[j] = x^(n+j) mod m, each from the last by one shift and fold
+        row = self._pack([-c * inv % p for c in m[:-1]])
+        rows = [row]
+        for _ in range(n - 2):
+            row <<= w
+            row = self._reduce((row & self.low) + (row >> w * n) * rows[0])
+            rows.append(row)
+        self.rows = rows
+
+    def _pack(self, coeffs: Sequence[int]) -> int:
+        """The packed residue of exactly n reduced coefficients."""
+        return int.from_bytes(self.layout.pack(*coeffs), sys.byteorder)
+
+    def _slots(self, a: int, count: int) -> memoryview:
+        return memoryview(a.to_bytes(self.size * count, sys.byteorder)).cast(self.code)
+
+    def _reduce(self, a: int) -> int:
+        p = self.p
+        return self._pack([c % p for c in self._slots(a, self.n)])
+
+    def pack(self, f: GFPoly) -> int:
+        r = super().pack(f)
+        return self._pack(r + (0,) * (self.n - len(r)))
+
+    def unpack(self, a: int) -> GFPoly:
+        return _trim(self._slots(a, self.n))
+
+    def mul(self, a: int, b: int) -> int:
+        p, n = self.p, self.n
+        prod = a * b
+        high = [c % p for c in self._slots(prod, 2 * n - 1)[n:]]
+        return self._reduce((prod & self.low) + sum(map(operator.mul, high, self.rows)))
+
+
+def _residues(m: GFPoly, p: int) -> _Residues:
+    """Arithmetic modulo (m, p) for m of degree >= 1 with a unit leading
+    coefficient: packed in the narrowest slots that cannot overflow, or as
+    coefficient tuples when no type code is wide enough."""
+    bound = (2 * len(m) - 3) * (p - 1) ** 2
+    for code in "BHIQ":
+        if bound < 1 << 8 * struct.calcsize(code):
+            return _PackedResidues(m, p, code)
+    return _Residues(m, p)
+
+
 def gf_pow_mod(base: GFPoly, e: int, mod: GFPoly, p: int) -> GFPoly:
-    result: GFPoly = (1,)
-    base = gf_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = gf_divmod(_trim(_mul(result, base), p), mod, p)[1]
-        e >>= 1
-        if e:
-            base = gf_divmod(_trim(_mul(base, base), p), mod, p)[1]
-    return result
+    """base^e reduced modulo (mod, p)."""
+    mod = _trim(mod, p)
+    if len(mod) <= 1:
+        return gf_divmod(base, mod, p)[1]
+    ring = _residues(mod, p)
+    return ring.unpack(ring.pow(ring.pack(base), e))
 
 
 def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:
@@ -229,9 +322,10 @@ def _gf_equal_degree(g: GFPoly, d: int, p: int, rng: random.Random) -> list[GFPo
     # a random a is a nonzero square modulo about half of the factors, and
     # exactly there a^((p^d - 1)/2) = 1 (von zur Gathen & Gerhard, 14.8)
     e = (p**d - 1) // 2
+    ring = _residues(g, p)
     while True:
-        a = _trim([rng.randrange(p) for _ in range(n)], p)
-        s = gf_gcd(g, _sub(gf_pow_mod(a, e, g, p), (1,), p), p)
+        a = ring.pack([rng.randrange(p) for _ in range(n)])
+        s = gf_gcd(g, _sub(ring.unpack(ring.pow(a, e)), (1,), p), p)
         if 0 < len(s) - 1 < n:
             rest = gf_divmod(g, s, p)[0]
             return _gf_equal_degree(s, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
@@ -244,15 +338,22 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
     splitting with random elements drawn from a generator seeded by p."""
     rng = random.Random(p)
     factors: list[GFPoly] = []
-    rest, h, d = f, (0, 1), 0
+    rest, x_pd, d, ring = f, (0, 1), 0, None
     # once every factor of degree <= d is out, a rest of degree below
     # 2(d + 1) is irreducible
     while len(rest) - 1 >= 2 * (d + 1):
+        if ring is None or ring.m is not rest:
+            # one kernel per rest: a new rest divides the old one, so
+            # x^(p^d) reduces on to it
+            ring = _residues(rest, p)
+            h = ring.pack(x_pd)
         d += 1
-        # h = x^(p^d) mod rest, and x^(p^d) - x is the product of the monic
-        # irreducibles whose degree divides d (von zur Gathen & Gerhard, 14.2)
-        h = gf_pow_mod(h, p, rest, p)
-        g = gf_gcd(rest, _sub(h, (0, 1), p), p)
+        # h = x^(p^d) mod rest, packed, and x^(p^d) - x is the product of the
+        # monic irreducibles whose degree divides d (von zur Gathen & Gerhard,
+        # 14.2)
+        h = ring.pow(h, p)
+        x_pd = ring.unpack(h)
+        g = gf_gcd(rest, _sub(x_pd, (0, 1), p), p)
         if len(g) > 1:
             factors += _gf_equal_degree(g, d, p, rng)
             rest = gf_divmod(rest, g, p)[0]
@@ -303,16 +404,19 @@ def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[IPoly]
     precisions = [k]
     while precisions[-1] > 1:
         precisions.append((precisions[-1] + 1) // 2)
-    for j in reversed(precisions[:-1]):
-        modulus = p**j
-        # h is monic, so dividing by it needs no inverse modulo p^j
-        e = _sub(f, _mul(g, h), modulus)
+    moduli = [p**j for j in reversed(precisions[:-1])]
+    # h is monic, so dividing by it needs no inverse modulo p^j.  The
+    # correction s * (f - g*h) mod h is s * (f mod h) mod h whatever the
+    # precision of g, so no product g*h is formed, and one division by each
+    # new h gives g at this precision and f mod h at the next.
+    e = gf_divmod(f, h, moduli[0])[1] if moduli else ()
+    for modulus, following in zip(moduli, moduli[1:] + [pk]):
         delta = gf_divmod(_mul(s, e), h, modulus)[1]
         h = list(h)
         for i, c in enumerate(delta):
             h[i] = (h[i] + c) % modulus
-        g = gf_divmod(f, h, modulus)[0]
-        if j < k:
+        g, e = gf_divmod(f, h, following)
+        if modulus < pk:
             # Newton step for the inverse: s * g = 1 + eps mod h gives
             # s * (2 - s * g) * g = 1 - eps^2
             sg = gf_divmod(_mul(s, g), h, modulus)[1]
@@ -338,10 +442,12 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     if len(modular) == 1:
         return [f]
 
-    # lift until p^k exceeds twice 2^n * |f|_2 * |lc|, so the symmetric
-    # representative of any lc-adjusted true factor is exact (Mignotte)
+    # a true factor is found together with its cofactor, so only factors of
+    # degree <= n/2 are searched for; lift until p^k exceeds twice
+    # 2^(n/2) * |f|_2 * |lc|, so the symmetric representative of any
+    # lc-adjusted true factor of that degree is exact (Mignotte)
     norm2 = math.isqrt(sum(c * c for c in f)) + 1
-    bound = 2 * (1 << n) * norm2 * abs(lc)
+    bound = 2 * (1 << n // 2) * norm2 * abs(lc)
     pk = p
     k = 1
     while pk <= bound:
@@ -355,7 +461,9 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     active = list(range(len(lifted)))
     remaining = f
     size = 1
-    while 2 * size <= len(active):
+    # subsets of `size` factors all have degree above half of remaining's
+    # once its `size` smallest active factors do
+    while sum(sorted(degrees[i] for i in active)[:size]) <= (half := (len(remaining) - 1) // 2):
         # a true factor h of remaining shows up as (lc / lc(h)) * h, and p^k
         # exceeds twice its coefficients, so symmetric residues are exact:
         # its constant term divides lc * remaining(0), and its next-to-top
@@ -367,6 +475,8 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
         found = False
         for subset in combinations(active, size):
             degree = sum(degrees[i] for i in subset)
+            if degree > half:
+                continue
             trace = _symmetric(lc * sum(lifted[i][-2] for i in subset), pk)
             if abs(trace) > lc * degree * root_bound:
                 continue

@@ -11,7 +11,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from orbpairs.cli import COMMANDS, main
 from orbpairs.specparse import parse
@@ -87,6 +87,14 @@ def command_lines(draw):
     st.one_of(command_lines(), st.lists(st.sampled_from(FLAGS + VALUES), max_size=8)),
 )
 @settings(max_examples=300, deadline=None)
+# a root index of 10^15: the Newton step raised 2 to the power 10^15 - 1
+@example(SPEC_TEXTS[0], ["pfull", "--p", "1000000000000000", "--limit", "1000000000000000", "--density"])
+# enumerations past the sieve bound, refused before any work
+@example(SPEC_TEXTS[0], ["pfull", "--p", "2", "--limit", "1000000000000000"])
+@example(
+    (SPECS / "mordell_triples.orb").read_text(encoding="utf-8"),
+    ["mordell-search", "gt237", "--max-a", "1000000000000000", "--max-b", "100"],
+)
 def test_main_exits_0_1_or_2(spec, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.orb"

@@ -108,6 +108,15 @@ class TestEnumerate:
         values = enumerate_p_full(10**5, 2)
         assert all(a < b for a, b in zip(values, values[1:]))
 
+    def test_sieve_bound_is_checked_before_sieving(self):
+        # 2-full values up to 10^15 need primes up to 3.2 * 10^7 (about
+        # 6.9 * 10^7 values); the largest admitted root is 10^5
+        with time_guard(1):
+            with pytest.raises(DomainError, match="primes up to 31622776"):
+                enumerate_p_full(10**15, 2)
+            assert len(enumerate_p_full(10**10, 2)) == 214122
+            assert len(enumerate_p_full(10**15, 3)) == 434572
+
 
 class TestDensity:
     def test_slope_near_inverse_exponent(self):
@@ -199,6 +208,11 @@ class TestSearchPoints:
             (9, 8), (2312, 125), (5041, 4913), (12168, 12167), (498436, 107811),
         ]
 
+    def test_pair_budget_is_checked_before_the_search(self):
+        # 21044 2-full a- and b-values up to 10^8 make 4.4 * 10^8 pairs
+        with time_guard(2), pytest.raises(DomainError, match="21044 a-values and 21044 b-values"):
+            search_points(OrbifoldP1Triple(2, 3, 2), 10**8, 10**8)
+
     def test_excluded_237_at_10_8(self):
         with time_guard(5):
             points = search_points(OrbifoldP1Triple(2, 3, 7), 10**8, 10**8)
@@ -271,6 +285,22 @@ class TestIntegerRoots:
         assert integer_nth_root(10**30 - 1, 3) == 10**10 - 1
         assert is_perfect_power(2**60, 5) == (True, 2**12)
         assert is_perfect_power(2**60 + 1, 5) == (False, 0)
+
+    def test_huge_root_index(self):
+        with time_guard(1):
+            assert integer_nth_root(10**15, 10**15) == 1
+            assert integer_nth_root(2, 10**15) == 1
+
+    def test_root_index_near_the_bit_length(self):
+        # around k = n.bit_length() the root drops to 1; brute force is
+        # the largest x with x^k <= n
+        for n in [2, 3, 7, 8, 9, 255, 256, 257, 10**6, 2**40 - 1, 2**40, 3**30]:
+            bits = n.bit_length()
+            for k in range(max(1, bits - 4), bits + 3):
+                expected = 1
+                while (expected + 1) ** k <= n:
+                    expected += 1
+                assert integer_nth_root(n, k) == expected, (n, k)
 
     def test_point_validation(self):
         with pytest.raises(DomainError):

@@ -114,6 +114,38 @@ def modular_setup(f):
     return p, modular, k
 
 
+def pow_mod_reference(base, e, mod, p):
+    """base^e modulo (mod, p) by right-to-left square-and-multiply on lists,
+    with schoolbook products and remainders."""
+
+    def reduce(f):
+        f = [c % p for c in f]
+        inv = pow(mod[-1], -1, p)
+        while len(f) >= len(mod):
+            c = f[-1] * inv % p
+            shift = len(f) - len(mod)
+            for i, b in enumerate(mod):
+                f[shift + i] = (f[shift + i] - c * b) % p
+            f.pop()
+        return _trim(f)
+
+    def times(f, g):
+        out = [0] * (len(f) + len(g))
+        for i, a in enumerate(f):
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+        return reduce(out)
+
+    mod = _trim(mod, p)
+    result, base = reduce([1]), reduce(base)
+    while e:
+        if e & 1:
+            result = times(result, base)
+        e >>= 1
+        base = times(base, base)
+    return result
+
+
 def hensel_lift_reference(f, modular, p, k):
     """Linear lifting: k - 1 steps, each rebuilding the product of all factors
     mod p^(j+1) and correcting every factor by one p-adic digit."""
@@ -344,6 +376,43 @@ class TestFactorRational:
         assert_modular_factorization(f, factors, p)
         assert factors == sorted(chosen)
 
+    @given(
+        st.sampled_from([3, 5, 7, 41, 1009, 2003, 65521, 2**31 - 1, 2**61 - 1]),
+        st.data(),
+        st.booleans(),
+        st.integers(0, 2**16),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_pow_mod_matches_reference(self, p, data, monic, e):
+        # slots of 8, 16, 32 and 64 bits all occur below degree 60; 2^31 - 1
+        # packs only up to degree 2 and 2^61 - 1 never, so both also take
+        # the unpacked path
+        n = data.draw(st.integers(0, 60))
+        mod = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        mod += (1,) if monic else (data.draw(st.integers(1, p - 1)),)
+        base = tuple(data.draw(st.lists(st.integers(-p, 2 * p), max_size=2 * n + 3)))
+        assert gf_pow_mod(base, e, mod, p) == pow_mod_reference(base, e, mod, p)
+
+    def test_pow_mod_edge_cases(self):
+        for p in (3, 2003, 2**61 - 1):
+            for mod in ((1, 2, 0, 1), (1, 2, 0, 2)):
+                # e = 0, a zero base, a base longer than the modulus
+                assert gf_pow_mod((5, 1), 0, mod, p) == (1,)
+                assert gf_pow_mod((), 7, mod, p) == ()
+                assert gf_pow_mod((), 0, mod, p) == (1,)
+                long_base = tuple(range(1, 12))
+                assert gf_pow_mod(long_base, 3, mod, p) == pow_mod_reference(long_base, 3, mod, p)
+            # a constant modulus leaves only the zero residue
+            assert gf_pow_mod((5, 1), 0, (4,), p) == ()
+            assert gf_pow_mod((5, 1), 9, (4,), p) == ()
+        # a modulus whose top coefficient vanishes mod p has lower degree
+        assert gf_pow_mod((0, 1), 5, (1, 1, 3), 3) == (2,)
+        assert gf_pow_mod((0, 1), 2, (1, 0, 1, 5), 5) == (4,)
+        # an exponent with many bits, as in equal-degree splitting
+        e = (17**12 - 1) // 2
+        mod = (3, 0, 5, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)
+        assert gf_pow_mod((1, 1), e, mod, 17) == pow_mod_reference((1, 1), e, mod, 17)
+
     def test_berlekamp_x210_minus_1_mod_17(self):
         # twelve of the factors have degree 12, the order of 17 modulo 35,
         # and splitting them raises to (17^12 - 1)/2, an exponent of 49 bits
@@ -352,6 +421,27 @@ class TestFactorRational:
             factors = gf_berlekamp(f, 17)
         assert len(factors) == 28
         assert_modular_factorization(f, factors, 17)
+
+    def test_half_degree_recombination(self):
+        # the degree-16 Swinnerton-Dyer polynomial, more than half of the
+        # degree, times three linear factors: 11 factors mod 11, and subsets
+        # of degree <= 9 include sizes a loop over half the factor count
+        # never reaches
+        poly = expand([(SWINNERTON_DYER_16, 1), ((-1, 1), 1), ((2, 1), 1), ((1, 2), 1)])
+        _, factors = factor_rational(poly)
+        assert factors == [((-1, 1), 1), ((1, 2), 1), ((2, 1), 1), (SWINNERTON_DYER_16, 1)]
+        assert factor_rational(poly) == factor_reference(poly)
+        # two irreducible factors of degree exactly n/2 (Eisenstein at 2 in
+        # x -+ 1), not monic and with binomial coefficients: 5 factors mod 7,
+        # so the true factors are subsets of degree exactly half
+        g = tuple(3 * math.comb(6, i) + 2 * (i == 0) for i in range(7))
+        h = tuple(5 * math.comb(6, i) * (-1) ** i - 2 * (i == 0) for i in range(7))
+        poly = expand([(g, 1), (h, 1)])
+        p, modular, _ = modular_setup(_primitive([int(c) for c in poly]))
+        assert (p, sorted(len(m) - 1 for m in modular)) == (7, [2, 2, 2, 3, 3])
+        _, factors = factor_rational(poly)
+        assert factors == [(h, 1), (g, 1)]
+        assert factor_rational(poly) == factor_reference(poly)
 
     def test_content_tracking(self):
         content, factors = factor_rational(qscale(qpoly([1, 2, 1]), Fraction(3, 4)))
