@@ -162,11 +162,11 @@ def cmd_mordell_classical(args: argparse.Namespace, doc: SpecDocument) -> Result
 
 
 def cmd_pfull(args: argparse.Namespace, doc: None) -> Result:
-    values = mordell.enumerate_p_full(args.limit, args.p)
+    report = mordell.density_report(args.limit, args.p) if args.density else None
+    values = report.values if report else mordell.enumerate_p_full(args.limit, args.p)
     shown: dict = {"count": len(values)}
     extra: dict = {"p": args.p, "limit": args.limit, "values": values}
-    if args.density:
-        report = mordell.density_report(args.limit, args.p)
+    if report:
         shown.update(ratio=f"{report.ratio:.6f}", slope=f"{report.slope:.6f}")
         extra["checkpoints"] = report.checkpoints
     return shown, extra, []

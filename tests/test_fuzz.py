@@ -95,6 +95,10 @@ def command_lines(draw):
     (SPECS / "mordell_triples.orb").read_text(encoding="utf-8"),
     ["mordell-search", "gt237", "--max-a", "1000000000000000", "--max-b", "100"],
 )
+@example(
+    (SPECS / "mordell_triples.orb").read_text(encoding="utf-8"),
+    ["mordell-classical", "gt237", "--max", "1000000000000000"],
+)
 def test_main_exits_0_1_or_2(spec, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.orb"

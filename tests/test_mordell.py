@@ -250,6 +250,16 @@ class TestSearchClassical:
         with pytest.raises(DomainError):
             search_classical(OrbifoldP1Triple(2, 3, 7), 1, 0)
 
+    def test_pair_budget(self):
+        # 1000 * 1000 pairs are admitted (about 1.4 s for (2, 3, 7)); one
+        # more alpha, or a bound of 10^15, is refused before any root
+        with time_guard(1):
+            for max_alpha, max_beta in [(1001, 1000), (1, 10**6 + 1), (10**15, 10**15)]:
+                with pytest.raises(DomainError, match="make more than 1000000 pairs to test"):
+                    search_classical(OrbifoldP1Triple(2, 3, 7), max_alpha, max_beta)
+        # the largest benchmark search, 10^2.35 ~ 224, tests 50,176 pairs
+        assert search_classical(OrbifoldP1Triple(2, 3, 7), 224, 224) == []
+
     def test_classical_points_are_nonclassical_under_plus(self):
         # alpha^p and beta^r are p- and r-full; their sum gamma^q is q-full
         for triple in (OrbifoldP1Triple(3, 2, 3), OrbifoldP1Triple(2, 2, 3)):

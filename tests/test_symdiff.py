@@ -6,6 +6,7 @@ import textwrap
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -356,6 +357,84 @@ class TestRelativeExponent:
             math.comb(kj + q, q) for q in range(1, q_max + 1) for kj in range(kj_max + 1)
         )
         assert check_relative_exponent_bounds(*grid).checked == compositions * max(m_max - 1, 0)
+
+
+def reference_relative_bounds(kj_max, q_max, m_max):
+    """The grid as it was written before it compared extremes of floor sums:
+    every decomposition enumerated, in order, and checked against one table
+    of the floor function per m."""
+    floors = {
+        m: [symdiff.floor_coefficient_multiple(k, Multiplicity(m)) for k in range(kj_max + 1)]
+        for m in range(2, m_max + 1)
+    }
+    checked, violations = 0, []
+    for q in range(1, q_max + 1):
+        for kj in range(kj_max + 1):
+            for parts in product(range(kj + 1), repeat=q + 1):
+                if sum(parts) != kj:
+                    continue
+                checked += len(floors)
+                for m, floor in floors.items():
+                    low = floor[parts[0]]
+                    value = floor[kj] - sum(floor[x] for x in parts[1:])
+                    if not low <= value <= q + low:
+                        violations.append((kj, parts, m))
+    return checked, tuple(violations)
+
+
+# per m, the floor table's kind and entries: the true floor, the true floor
+# shifted by entry // 4 (mostly 0, sometimes -1, 1 or 2), or the entries as
+# they are, which are neither monotone nor nonnegative
+FLOOR_TABLES = st.lists(
+    st.tuples(
+        st.sampled_from(["true", "shifted", "arbitrary"]),
+        st.lists(st.integers(-4, 8), min_size=9, max_size=9),
+    ),
+    min_size=4,
+    max_size=4,
+)
+
+
+class TestRelativeBoundsAgainstReference:
+    @given(st.integers(0, 8), st.integers(0, 4), st.integers(0, 5), FLOOR_TABLES)
+    def test_matches_reference_for_any_integer_floor_table(self, kj_max, q_max, m_max, tables):
+        true_floor = symdiff.floor_coefficient_multiple
+
+        def floor(k, m):
+            kind, entries = tables[int(m.finite_value()) - 2]
+            if kind == "arbitrary":
+                return entries[k]
+            return true_floor(k, m) + (entries[k] // 4 if kind == "shifted" else 0)
+
+        with mock.patch.object(symdiff, "floor_coefficient_multiple", floor):
+            expected = reference_relative_bounds(kj_max, q_max, m_max)
+            report = check_relative_exponent_bounds(kj_max, q_max, m_max)
+        assert (report.checked, report.violations) == expected
+
+    def test_large_grid_runs(self):
+        # 8,724,994,578 decompositions, decided from 9 tables of 61 floors
+        with time_guard(2):
+            report = check_relative_exponent_bounds(60, 6, 10)
+        assert report.ok and report.checked == 8_724_994_578
+
+    def test_grids_in_use_are_admitted(self):
+        # the work grows with each argument, and (24, 2, 9) bounds every
+        # grid of the symdiff_exhaustive benchmark workload
+        for grid in [(0, 1, 2), (5, 1, 1), (6, 2, 4), (7, 5, 9), (9, 3, 6), (12, 3, 5), (20, 4, 6), (24, 2, 9)]:
+            assert check_relative_exponent_bounds(*grid).ok
+
+    def test_large_grids_refused_at_once(self):
+        # (6369, 1, 2) takes 40,991,014 steps (about 2 s), (6370, 1, 2)
+        # 41,003,820; an empty table still costs its levels, and a level its m
+        with time_guard(1):
+            for grid in [
+                (6370, 1, 2), (10**6, 1, 2), (0, 1, 10**15), (1, 10**9, 2),
+                (-1, 10**15, 2), (-1, 1, 10**15), (10**15,) * 3,
+            ]:
+                with pytest.raises(DomainError, match="takes more than 41000000 steps"):
+                    check_relative_exponent_bounds(*grid)
+        with pytest.raises(DomainError, match=r"grid kj <= 6370, q <= 1, m <= 2 takes more"):
+            check_relative_exponent_bounds(6370, 1, 2)
 
 
 class TestSuperadditivityIdentity:
