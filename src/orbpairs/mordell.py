@@ -18,18 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from .curveclass import CurveOrbifold, Kappa, kappa_curve
-from .orbcore import DomainError
-
-# Work bounds, checked before any enumeration: the sieve for p-full values
-# up to `limit` runs to limit^(1/p), and a point search tests every pair of
-# a- and b-values.  Both admit the excluded (2,3,7) search at 10^8 (primes
-# to 10^4, 1.6 * 10^6 pairs) and density reports at 10^6 with room to spare.
-# A classical search extracts a root for every (alpha, beta) pair; at the
-# bound (2,3,7) with alpha, beta <= 1000 takes about 1.4 s (CPython 3.11 on
-# a shared 2-vCPU host).
-_MAX_ROOT = 10**5
-_MAX_PAIRS = 10**7
-_MAX_CLASSICAL_PAIRS = 10**6
+from .orbcore import MAX_STEPS, DomainError, require_steps
 
 
 @dataclass(frozen=True)
@@ -116,23 +105,26 @@ def enumerate_p_full(limit: int, p: int) -> list[int]:
     """All p-full integers in [1, limit], ascending, including 1.
 
     Generates products of prime powers with exponents >= p directly, so the
-    cost scales with the output size (about limit^(1/p) values) rather than
-    with the limit.
+    cost scales with the output size (at least limit^(1/p) values) rather
+    than with the limit.  The sieve to limit^(1/p) is one step per number
+    and each value 32; every n^p with n <= limit^(1/p) is p-full, so the
+    steps are checked once before sieving and again as the values grow.
     """
     if limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit}")
     if p < 2:
         raise DomainError(f"fullness exponent must be >= 2, got {p}")
     root = integer_nth_root(limit, p)
-    if root > _MAX_ROOT:
-        raise DomainError(
-            f"{p}-full values up to {limit} need primes up to {root}, above the limit {_MAX_ROOT}"
-        )
+    what = f"enumerating the {p}-full values up to {limit}"
+    require_steps(33 * root, what)
     primes = primes_up_to(root)
+    most = (MAX_STEPS - root) // 32
     out: list[int] = []
 
     def extend(start: int, value: int) -> None:
         out.append(value)
+        if len(out) > most:
+            require_steps(root + 32 * len(out), what)
         for i in range(start, len(primes)):
             power = primes[i] ** p
             if value > limit // power:
@@ -172,9 +164,9 @@ class DensityReport:
 def density_report(limit: int, p: int) -> DensityReport:
     """Counts of p-full integers at dyadic checkpoints with the fitted
     log-log slope (expected near 1/p) and the count/limit^(1/p) ratio."""
-    values = enumerate_p_full(limit, p)
     if limit < 10**3:
         raise DomainError(f"density report needs limit >= 1000, got {limit}")
+    values = enumerate_p_full(limit, p)
     # fit over at most 8 dyadic checkpoints: deeper ones leave the
     # asymptotic regime and the lower-order terms bend the slope
     checkpoints: list[tuple[int, int]] = []
@@ -213,8 +205,9 @@ def search_points(
     a != b, and |a-b| (sign="minus") or a+b (sign="plus") q-full.
 
     The a- and b-values and the q-full values up to the largest candidate
-    the searched a- and b-values can make are each enumerated once; a candidate is q-full exactly when
-    it lies in that set, so no candidate is factorized.
+    the searched a- and b-values can make are each enumerated once; a
+    candidate is q-full exactly when it lies in that set, so no candidate
+    is factorized.  Testing a pair is 4 steps.
 
     Results are sorted by (b, a).  ``b_range`` restricts the denominators to
     a closed interval so disjoint shards can be searched independently and
@@ -231,11 +224,8 @@ def search_points(
         b_values = [b for b in b_values if lo <= b <= hi]
     if not b_values:
         return []
-    if len(a_values) * len(b_values) > _MAX_PAIRS:
-        raise DomainError(
-            f"{len(a_values)} a-values and {len(b_values)} b-values make more than "
-            f"{_MAX_PAIRS} pairs to test"
-        )
+    n_a, n_b = len(a_values), len(b_values)
+    require_steps(4 * n_a * n_b, f"a search over {n_a} a-values and {n_b} b-values")
     # every candidate |a-b| or a+b is at most this bound, so one enumeration
     # of the q-full values decides them all by membership; a = b is coprime
     # only at 1, where the candidate is 0 or 2 and neither is q-full
@@ -264,14 +254,15 @@ def search_classical(
     triple: OrbifoldP1Triple, max_alpha: int, max_beta: int
 ) -> list[ClassicalWitness]:
     """All coprime (alpha, beta) in range with alpha^p + beta^r an exact
-    q-th power, with the root gamma reported."""
+    q-th power, with the root gamma reported.
+
+    A pair whose powers have at most b bits takes 30 + b/6 + b^2/40000
+    steps: the root extraction divides b-bit numbers a few times."""
     if max_alpha < 1 or max_beta < 1:
         raise DomainError(f"search bounds must be >= 1, got ({max_alpha}, {max_beta})")
-    if max_alpha * max_beta > _MAX_CLASSICAL_PAIRS:
-        raise DomainError(
-            f"alpha <= {max_alpha} and beta <= {max_beta} make more than "
-            f"{_MAX_CLASSICAL_PAIRS} pairs to test"
-        )
+    bits = max(triple.p * max_alpha.bit_length(), triple.r * max_beta.bit_length())
+    steps = max_alpha * max_beta * (30 + bits // 6 + bits * bits // 40000)
+    require_steps(steps, f"a classical search over alpha <= {max_alpha} and beta <= {max_beta}")
     out: list[ClassicalWitness] = []
     for beta in range(1, max_beta + 1):
         for alpha in range(1, max_alpha + 1):

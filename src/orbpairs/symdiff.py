@@ -18,13 +18,15 @@ from itertools import combinations, combinations_with_replacement, islice
 from operator import add
 from typing import Iterable, Sequence
 
-from .orbcore import DomainError, Multiplicity, MultiplicityLike, SelfCheckError, as_multiplicity
-
-# The most steps one positive-floor check (see _steps) or relative-exponent
-# grid may take; it has no override.  The most that a positive-floor run
-# within the former bounds (200 on p * N * q, 10^6 multi-indices) took is
-# 40,320,090, at p = 5, q = 3, N = 11..13.
-_MAX_STEPS = 41 * 10**6
+from .orbcore import (
+    MAX_STEPS,
+    DomainError,
+    Multiplicity,
+    MultiplicityLike,
+    SelfCheckError,
+    as_multiplicity,
+    require_steps,
+)
 
 # The most entries, N * q, one multi-index of a positive-floor check may
 # hold; at q = 1 that tuple takes about 46 MB.  Every run within the former
@@ -177,7 +179,7 @@ def _steps(p: int, q: int, n_values: Iterable[int], first_subset: tuple[int, ...
     """The steps of checking every multi-index for each N in ``n_values``:
     the subsets a shard skips to reach its first subset, plus N * q + p per
     multi-index (its occupancy increments and threshold comparisons).
-    Exact up to _MAX_STEPS; past it, counting stops with some larger number."""
+    Exact up to MAX_STEPS; past it, counting stops with some larger number."""
     fixed = 0 if first_subset is None else 1
     steps = _shard_first(p, q, first_subset)[1] if fixed else 0
     drawn = math.comb(p, q) - steps
@@ -185,9 +187,9 @@ def _steps(p: int, q: int, n_values: Iterable[int], first_subset: tuple[int, ...
         cost, k = n * q + p, n - fixed
         # a draw of k >= 1 subsets has at least `drawn` outcomes, so a pool
         # that large is over the bound before math.comb is asked
-        over = k and drawn * cost > _MAX_STEPS
+        over = k and drawn * cost > MAX_STEPS
         steps += (drawn if over else math.comb(drawn + k - 1, k)) * cost
-        if steps > _MAX_STEPS:
+        if steps > MAX_STEPS:
             break
     return steps
 
@@ -220,7 +222,7 @@ def check_positive_floor(
     Enumerates all multi-indices for N = threshold .. threshold + extra and
     reports counterexamples (expected: none).  ``first_subset`` restricts
     to one shard of the enumeration, keyed by the smallest subset.  Refuses
-    to run past _MAX_STEPS steps, or to hold a multi-index of more than
+    to run past MAX_STEPS steps, or to hold a multi-index of more than
     _MAX_INDEX_LENGTH entries.
     """
     if not 1 <= q <= p:
@@ -235,11 +237,8 @@ def check_positive_floor(
             raise DomainError("positive-floor check requires all multiplicities > 1")
     threshold = positive_floor_threshold(p, q, ms)
     n_values = range(threshold, threshold + extra + 1)
-    if _steps(p, q, n_values, first_subset) > _MAX_STEPS:
-        raise DomainError(
-            f"enumeration for N = {threshold}..{threshold + extra} over {q}-subsets "
-            f"of 1..{p} takes more than {_MAX_STEPS} steps"
-        )
+    what = f"enumeration for N = {threshold}..{threshold + extra} over {q}-subsets of 1..{p}"
+    require_steps(_steps(p, q, n_values, first_subset), what)
     if n_values[-1] * q > _MAX_INDEX_LENGTH:
         raise DomainError(
             f"a multi-index of N = {n_values[-1]} {q}-subsets holds N*q = {n_values[-1] * q} "
@@ -328,16 +327,13 @@ def check_relative_exponent_bounds(
     parts by a (min, +) and a (max, +) convolution with f, so they decide
     every decomposition of a kj, or of a kj with a given k0, at once; only a
     group (q, kj, k0) that fails is enumerated, to list its violations.
-    Refuses more than _MAX_STEPS steps before any work: a convolution term
+    Refuses more than MAX_STEPS steps before any work: a convolution term
     is one step, and each m, table entry, level (m, q) and t of a level is
     32, so that a step takes 30-60 ns whatever the grid's shape (CPython
     3.11 on a shared 2-vCPU host)."""
     size, ms = max(kj_max + 1, 0), range(2, m_max + 1)
-    if len(ms) * (32 + 32 * size + max(q_max, 0) * (32 + size * (size + 33))) > _MAX_STEPS:
-        raise DomainError(
-            f"relative-exponent grid kj <= {kj_max}, q <= {q_max}, m <= {m_max} "
-            f"takes more than {_MAX_STEPS} steps"
-        )
+    steps = len(ms) * (32 + 32 * size + max(q_max, 0) * (32 + size * (size + 33)))
+    require_steps(steps, f"relative-exponent grid kj <= {kj_max}, q <= {q_max}, m <= {m_max}")
     # the (q+1)-part compositions of kj <= kj_max number C(kj_max + 1 + q, q + 1)
     checked = len(ms) * sum(math.comb(size + q, q + 1) for q in range(1, q_max + 1))
     violations: list[tuple[int, tuple[int, ...], int]] = []

@@ -99,6 +99,10 @@ def command_lines(draw):
     (SPECS / "mordell_triples.orb").read_text(encoding="utf-8"),
     ["mordell-classical", "gt237", "--max", "1000000000000000"],
 )
+# four pairs, each a root of a number of 10^8 bits
+@example("mordell big { p 99999999; q 2; r 3; }\n", ["mordell-classical", "big", "--max", "2"])
+# a sieve to 10^5 that makes 5.5 * 10^6 values, stopped as they are made
+@example(SPEC_TEXTS[0], ["pfull", "--p", "8", "--limit", "1" + "0" * 40])
 def test_main_exits_0_1_or_2(spec, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.orb"

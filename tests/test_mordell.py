@@ -110,12 +110,25 @@ class TestEnumerate:
 
     def test_sieve_bound_is_checked_before_sieving(self):
         # 2-full values up to 10^15 need primes up to 3.2 * 10^7 (about
-        # 6.9 * 10^7 values); the largest admitted root is 10^5
+        # 6.9 * 10^7 values); at 33 steps a root, the largest admitted root
+        # is 1,242,424
         with time_guard(1):
-            with pytest.raises(DomainError, match="primes up to 31622776"):
+            with pytest.raises(
+                DomainError,
+                match="enumerating the 2-full values up to 1000000000000000 takes more than 41000000 steps",
+            ):
                 enumerate_p_full(10**15, 2)
             assert len(enumerate_p_full(10**10, 2)) == 214122
             assert len(enumerate_p_full(10**15, 3)) == 434572
+
+    def test_values_are_counted_as_they_are_made(self):
+        # both sieve to 10^5, but make 5.5 * 10^6 and 1.4 * 10^6 values at
+        # 32 steps each; the budget stops them at the 1,278,126th value
+        for limit, p in [(10**40, 8), (10**25, 5)]:
+            with time_guard(3), pytest.raises(
+                DomainError, match=f"{p}-full values up to {limit} takes more than 41000000 steps"
+            ):
+                enumerate_p_full(limit, p)
 
 
 class TestDensity:
@@ -251,14 +264,21 @@ class TestSearchClassical:
             search_classical(OrbifoldP1Triple(2, 3, 7), 1, 0)
 
     def test_pair_budget(self):
-        # 1000 * 1000 pairs are admitted (about 1.4 s for (2, 3, 7)); one
-        # more alpha, or a bound of 10^15, is refused before any root
+        # 1000 * 1000 pairs of 41 steps are admitted (about 1.2 s for
+        # (2, 3, 7)); one more alpha, or a bound of 10^15, is refused before
+        # any root
         with time_guard(1):
             for max_alpha, max_beta in [(1001, 1000), (1, 10**6 + 1), (10**15, 10**15)]:
-                with pytest.raises(DomainError, match="make more than 1000000 pairs to test"):
+                with pytest.raises(DomainError, match="takes more than 41000000 steps"):
                     search_classical(OrbifoldP1Triple(2, 3, 7), max_alpha, max_beta)
         # the largest benchmark search, 10^2.35 ~ 224, tests 50,176 pairs
         assert search_classical(OrbifoldP1Triple(2, 3, 7), 224, 224) == []
+
+    def test_huge_exponent_is_refused_before_any_power(self):
+        # four pairs, but 2^99999999 has 10^8 bits: each root extraction
+        # would divide numbers of that size
+        with time_guard(1), pytest.raises(DomainError, match="takes more than 41000000 steps"):
+            search_classical(OrbifoldP1Triple(99999999, 2, 3), 2, 2)
 
     def test_classical_points_are_nonclassical_under_plus(self):
         # alpha^p and beta^r are p- and r-full; their sum gamma^q is q-full

@@ -310,6 +310,28 @@ class TestFactorRational:
             _, factors = factor_rational(qpoly(poly))
         assert factors == [(poly, 1)]
 
+    def test_lifted_far_enough_for_every_factor(self, monkeypatch):
+        # an lc-adjusted factor of degree d <= n/2 has coefficients up to
+        # C(d, j) * |f|_2 (Mignotte), and only p^k above twice the largest,
+        # C(n//2, n//4) * |f|_2, recovers every such factor from symmetric
+        # residues; the tested factors stay far below that, so a too-low p^k
+        # must be caught here, not by a wrong factorization
+        lifts = set()
+        lift = polynomials._hensel_lift
+
+        def spy(f, modular, p, k):
+            lifts.add((p, k))
+            return lift(f, modular, p, k)
+
+        monkeypatch.setattr(polynomials, "_hensel_lift", spy)
+        # x^105 - 1, SD16 and (2x^2 + 1)(3x^4 - x + 5): squarefree and primitive
+        for poly in [(-1,) + (0,) * 104 + (1,), SWINNERTON_DYER_16, (5, -1, 10, -2, 3, 0, 6)]:
+            lifts.clear()
+            factor_rational(qpoly(poly))
+            ((p, k),) = lifts
+            n = len(poly) - 1
+            assert p ** (2 * k) > 4 * math.comb(n // 2, n // 4) ** 2 * sum(c * c for c in poly), (n, p, k)
+
     def test_large_first_usable_prime(self):
         # P x^6 + 1 with P the product of the odd primes below 2000: the
         # first prime not dividing the leading coefficient is 2003, and

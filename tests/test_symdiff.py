@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbpairs import symdiff
-from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, SelfCheckError, as_multiplicity
+from orbpairs.orbcore import INFINITY, MAX_STEPS, DomainError, Multiplicity, SelfCheckError, as_multiplicity
 from orbpairs.symdiff import (
     MultiIndexJ,
     ceil_quotient,
@@ -192,13 +192,13 @@ class TestStepCount:
                         admitted += 1
                         most = max(most, symdiff._steps(p, q, range(lo, hi + 1), None))
         assert admitted == 32328
-        assert most == 40_320_090 <= symdiff._MAX_STEPS
+        assert most == 40_320_090 <= MAX_STEPS
 
     def test_large_pool_refused_before_math_comb(self):
         # computing C(9 * 10^5 - 1, 6 * 10^5) alone takes seconds
         p = 3 * 10**5
         with time_guard(1):
-            assert symdiff._steps(p, 1, range(2 * p, 2 * p + 2), None) > symdiff._MAX_STEPS
+            assert symdiff._steps(p, 1, range(2 * p, 2 * p + 2), None) > MAX_STEPS
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_count_matches_enumeration(self, p):
