@@ -187,7 +187,7 @@ def density_report(limit: int, p: int) -> DensityReport:
         limit=limit,
         p=p,
         count=count,
-        ratio=count / limit ** (1.0 / p),
+        ratio=count / math.exp(math.log(limit) / p),  # limit may exceed any float
         slope=slope,
         checkpoints=tuple(checkpoints),
         values=tuple(values),

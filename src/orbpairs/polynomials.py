@@ -9,10 +9,10 @@ parametrization runs over Z: the coordinates' denominators are cleared
 once, powers are built incrementally, and the terms are summed as integers
 over one common denominator.  Full factorization over Q is implemented here
 and runs on integers after the content is split off once at entry: Yun
-squarefree decomposition with primitive pseudo-remainder gcds and exact
-integer division, factoring modulo the first odd prime that keeps the part
-squarefree (the search is open-ended: only the finitely many primes dividing
-lc * discriminant are unusable) by distinct-degree factorization and seeded
+squarefree decomposition with heuristic gcds and exact integer division,
+factoring modulo the first odd prime that keeps the part squarefree (the
+search is open-ended: only the finitely many primes dividing lc *
+discriminant are unusable) by distinct-degree factorization and seeded
 Cantor-Zassenhaus equal-degree splitting, both raising to powers in
 GF(p)[x]/(m) on Kronecker-packed residues (one machine-integer slot per
 coefficient, so a product is one int multiply and a fold of the high slots),
@@ -122,26 +122,37 @@ def _divide(f: IPoly, g: IPoly) -> IPoly | None:
     return tuple(quo) if not any(rem) else None
 
 
-def _prem(f: IPoly, g: IPoly) -> IPoly:
-    """Remainder of c * f by g over Z, c a power of lc(g)."""
-    r = list(f)
-    n = len(g) - 1
-    while len(r) > n:
-        c = r.pop()
-        if c:
-            shift = len(r) - n
-            r = [g[-1] * a for a in r]
-            for j in range(n):
-                r[shift + j] -= c * g[j]
-    return _trim(r)
-
-
 def _gcd(f: IPoly, g: IPoly) -> IPoly:
-    """Primitive gcd over Z by the primitive pseudo-remainder sequence."""
+    """Primitive gcd over Z by the heuristic gcd (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7, 1989): a candidate is read from the symmetric
+    base-xi digits of the integer gcd of the primitive parts' values at xi.
+    With xi >= 2 * min(|a|oo, |b|oo) + 2 a common factor r the candidate
+    missed has |r(xi)| > xi / 2 and divides its content, which is at most
+    xi / 2: so a candidate whose primitive part divides both is the gcd.
+    Otherwise xi grows; past twice the gcd's height times the cofactors'
+    resultant the digits are an integer multiple of the gcd."""
     a, b = _primitive(f), _primitive(g)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return a
+    if len(a) < 2 or len(b) < 2:  # a zero or constant operand
+        return (1,) if a and b else a or b
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    while True:
+        h = math.gcd(_evaluate(a, xi), _evaluate(b, xi))
+        digits = []
+        while h:
+            digits.append(_symmetric(h, xi))
+            h = (h - digits[-1]) // xi
+        candidate = _primitive(digits)
+        if _divide(a, candidate) is not None and _divide(b, candidate) is not None:
+            return candidate
+        xi = xi * 73794 * math.isqrt(math.isqrt(xi)) // 27011  # (1 + sqrt 3) * xi^(5/4)
+
+
+def _evaluate(f: IPoly, x: int) -> int:
+    """f(x) by Horner's rule."""
+    value = 0
+    for c in reversed(f):
+        value = value * x + c
+    return value
 
 
 def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:

@@ -14,7 +14,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, islice
+from itertools import combinations, combinations_with_replacement
 from operator import add
 from typing import Iterable, Sequence
 
@@ -128,67 +128,26 @@ def positive_floor_threshold(p: int, q: int, mults: Sequence[Multiplicity]) -> i
     return math.ceil(Fraction(p) / (q * c))
 
 
-def multi_indices(
-    p: int, q: int, n: int, first_subset: tuple[int, ...] | None = None
-) -> Iterable[MultiIndexJ]:
-    """All multisets of n q-subsets of {1..p}.
-
-    With ``first_subset`` given, only the shard whose canonically smallest
-    subset equals it is produced; the shards over all q-subsets partition
-    the full enumeration.
-    """
+def multi_indices(p: int, q: int, n: int) -> Iterable[MultiIndexJ]:
+    """All multisets of n q-subsets of {1..p}."""
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
-    # every multi-index of a shard holds its first subset, so none has n = 0
-    n_values = (n,) if n or first_subset is None else ()
-    for _, subsets in _subset_tuples(p, q, n_values, first_subset):
+    for subsets in combinations_with_replacement(combinations(range(1, p + 1), q), n):
         yield MultiIndexJ(p, q, subsets)
 
 
-def _subset_tuples(
-    p: int, q: int, n_values: Sequence[int], first_subset: tuple[int, ...] | None
-) -> Iterable[tuple[int, tuple[tuple[int, ...], ...]]]:
-    """(N, subsets) for each N in ``n_values`` and each canonical N-tuple of
-    q-subsets of 1..p, in canonical order; for a shard, only the tuples
-    that start with its first subset, the rest drawn from the subsets at or
-    after it."""
-    subsets = combinations(range(1, p + 1), q)
-    if first_subset is None:
-        prefix, pool = (), tuple(subsets)
-    else:
-        first, rank = _shard_first(p, q, first_subset)
-        prefix, pool = (first,), tuple(islice(subsets, rank, None))
-    for n in n_values:
-        for combo in combinations_with_replacement(pool, n - len(prefix)):
-            yield n, prefix + combo
-
-
-def _shard_first(p: int, q: int, first_subset: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    """A shard's canonical first subset and its rank among the q-subsets of
-    1..p in canonical (lexicographic) order."""
-    first = tuple(sorted(first_subset))
-    if len(first) != q or len(set(first)) != q or not all(1 <= j <= p for j in first):
-        raise DomainError(f"{first} is not a q-subset of 1..{p}")
-    # the subsets after `first` are, position by position, those that agree
-    # with it before position i and exceed it at i: C(p - c_i, q - i) of them
-    after = sum(math.comb(p - c, q - i) for i, c in enumerate(first))
-    return first, math.comb(p, q) - 1 - after
-
-
-def _steps(p: int, q: int, n_values: Iterable[int], first_subset: tuple[int, ...] | None) -> int:
+def _steps(p: int, q: int, n_values: Iterable[int]) -> int:
     """The steps of checking every multi-index for each N in ``n_values``:
-    the subsets a shard skips to reach its first subset, plus N * q + p per
-    multi-index (its occupancy increments and threshold comparisons).
-    Exact up to MAX_STEPS; past it, counting stops with some larger number."""
-    fixed = 0 if first_subset is None else 1
-    steps = _shard_first(p, q, first_subset)[1] if fixed else 0
-    drawn = math.comb(p, q) - steps
+    N * q + p per multi-index (its occupancy increments and threshold
+    comparisons).  Exact up to MAX_STEPS; past it, counting stops with some
+    larger number."""
+    steps, pool = 0, math.comb(p, q)
     for n in n_values:
-        cost, k = n * q + p, n - fixed
-        # a draw of k >= 1 subsets has at least `drawn` outcomes, so a pool
+        cost = n * q + p
+        # a draw of n >= 1 subsets has at least `pool` outcomes, so a pool
         # that large is over the bound before math.comb is asked
-        over = k and drawn * cost > MAX_STEPS
-        steps += (drawn if over else math.comb(drawn + k - 1, k)) * cost
+        over = n and pool * cost > MAX_STEPS
+        steps += (pool if over else math.comb(pool + n - 1, n)) * cost
         if steps > MAX_STEPS:
             break
     return steps
@@ -214,16 +173,13 @@ def check_positive_floor(
     q: int,
     mults: Sequence[MultiplicityLike],
     extra: int = 1,
-    first_subset: tuple[int, ...] | None = None,
 ) -> PositiveFloorReport:
     """Exhaustively verify that at and above the threshold every multi-index
     has some strictly positive floor exponent.
 
     Enumerates all multi-indices for N = threshold .. threshold + extra and
-    reports counterexamples (expected: none).  ``first_subset`` restricts
-    to one shard of the enumeration, keyed by the smallest subset.  Refuses
-    to run past MAX_STEPS steps, or to hold a multi-index of more than
-    _MAX_INDEX_LENGTH entries.
+    reports counterexamples (expected: none).  Refuses to run past MAX_STEPS
+    steps, or to hold a multi-index of more than _MAX_INDEX_LENGTH entries.
     """
     if not 1 <= q <= p:
         raise DomainError(f"need 1 <= q <= p, got q={q}, p={p}")
@@ -238,7 +194,7 @@ def check_positive_floor(
     threshold = positive_floor_threshold(p, q, ms)
     n_values = range(threshold, threshold + extra + 1)
     what = f"enumeration for N = {threshold}..{threshold + extra} over {q}-subsets of 1..{p}"
-    require_steps(_steps(p, q, n_values, first_subset), what)
+    require_steps(_steps(p, q, n_values), what)
     if n_values[-1] * q > _MAX_INDEX_LENGTH:
         raise DomainError(
             f"a multi-index of N = {n_values[-1]} {q}-subsets holds N*q = {n_values[-1] * q} "
@@ -253,14 +209,16 @@ def check_positive_floor(
     ]
     checked = 0
     bad: list[tuple[int, MultiIndexJ]] = []
-    for n, subsets in _subset_tuples(p, q, n_values, first_subset):
-        checked += 1
-        counts = [0] * p
-        for subset in subsets:
-            for idx in subset:
-                counts[idx - 1] += 1
-        if not any(k >= t for k, t in zip(counts, need)):
-            bad.append((n, MultiIndexJ(p, q, subsets)))
+    pool = tuple(combinations(range(1, p + 1), q))
+    for n in n_values:
+        for subsets in combinations_with_replacement(pool, n):
+            checked += 1
+            counts = [0] * p
+            for subset in subsets:
+                for idx in subset:
+                    counts[idx - 1] += 1
+            if not any(k >= t for k, t in zip(counts, need)):
+                bad.append((n, MultiIndexJ(p, q, subsets)))
     return PositiveFloorReport(
         p=p,
         q=q,

@@ -289,6 +289,30 @@ class TestExitCodes:
         assert sorted(points.values()) == [1, 2, 4, 6, 8, 12, 24, 48]
         assert "s-u" in points and "s^2+s*u+u^2" in points
 
+    def test_irreducible_pullback_of_degree_200(self, tmp_path, capsys):
+        # the pullback is irreducible of degree 200 with coefficients of some
+        # 550 bits, so the squarefree step's gcd of it and its derivative is 1
+        src = tmp_path / "power40.orb"
+        src.write_text(
+            "paramcurve c { x0 = (s+2*u)^40; x1 = (s-3*u)^40; x2 = (2*s+5*u)^40; }\n"
+            "plane L { component F degree 5 mult 2 form x0^5 + x1^5 - x2^5 + x0*x1*x2^3; }\n"
+        )
+        with time_guard(5):
+            code = main(["-f", str(src), "restrict", "c", "--against", "L", "--json"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        marks = json.loads(captured.out)["marks"]
+        assert len(marks) == 200 and set(marks.values()) == {"2"}
+        assert len({label.split("#")[0] for label in marks}) == 1
+
+    def test_density_past_the_float_range(self, capsys):
+        # the 400th root of 10^400 is 10, but 10^400 is not a float
+        with time_guard(5):
+            code = main(["pfull", "--p", "400", "--limit", "1" + "0" * 400, "--density"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert captured.out.startswith("count=29272 ratio=2927.200000 ")
+
     def test_symdiff_count_cap(self, capsys):
         # N = 6, 7 over the 84 3-subsets of 1..9 make C(89, 6) + C(90, 7) =
         # 8,052,482,548 multi-indices; N = 18 over the 9 1-subsets makes

@@ -103,6 +103,12 @@ def command_lines(draw):
 @example("mordell big { p 99999999; q 2; r 3; }\n", ["mordell-classical", "big", "--max", "2"])
 # a sieve to 10^5 that makes 5.5 * 10^6 values, stopped as they are made
 @example(SPEC_TEXTS[0], ["pfull", "--p", "8", "--limit", "1" + "0" * 40])
+# a squarefree decomposition of a degree-200 pullback with 550-bit coefficients
+@example(
+    "paramcurve c { x0 = (s+2*u)^40; x1 = (s-3*u)^40; x2 = (2*s+5*u)^40; }\n"
+    "plane L { component F degree 5 mult 2 form x0^5 + x1^5 - x2^5 + x0*x1*x2^3; }\n",
+    ["restrict", "c", "--against", "L"],
+)
 def test_main_exits_0_1_or_2(spec, argv):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "fuzz.orb"

@@ -114,6 +114,29 @@ def modular_setup(f):
     return p, modular, k
 
 
+def prem_reference(f, g):
+    """Remainder of c * f by g over Z, c a power of lc(g)."""
+    r = list(f)
+    n = len(g) - 1
+    while len(r) > n:
+        c = r.pop()
+        if c:
+            shift = len(r) - n
+            r = [g[-1] * a for a in r]
+            for j in range(n):
+                r[shift + j] -= c * g[j]
+    return _trim(r)
+
+
+def gcd_reference(f, g):
+    """Primitive gcd over Z by the primitive pseudo-remainder sequence, the
+    gcd that the squarefree decomposition used before the heuristic gcd."""
+    a, b = _primitive(f), _primitive(g)
+    while b:
+        a, b = b, _primitive(prem_reference(a, b))
+    return a
+
+
 def pow_mod_reference(base, e, mod, p):
     """base^e modulo (mod, p) by right-to-left square-and-multiply on lists,
     with schoolbook products and remainders."""
@@ -332,6 +355,19 @@ class TestFactorRational:
             n = len(poly) - 1
             assert p ** (2 * k) > 4 * math.comb(n // 2, n // 4) ** 2 * sum(c * c for c in poly), (n, p, k)
 
+    def test_squared_factor_of_degree_60(self):
+        # g^2 * h with deg g = 60, deg h = 80 and 30-bit coefficients: the
+        # squarefree step's gcd of a degree-200 part and its derivative is g
+        rng = random.Random(2024)
+        g, h = (
+            _primitive([rng.randint(-(2**30), 2**30) for _ in range(d)] + [rng.randint(1, 2**30)])
+            for d in (60, 80)
+        )
+        poly = qpoly(_mul(_mul(g, g), h))
+        with time_guard(2):
+            content, factors = factor_rational(poly)
+        assert content == 1 and factors == [(g, 2), (h, 1)]
+
     def test_large_first_usable_prime(self):
         # P x^6 + 1 with P the product of the odd primes below 2000: the
         # first prime not dividing the leading coefficient is 2003, and
@@ -509,6 +545,33 @@ class TestFactorRational:
             poly = expand(sorted(chosen.items()))
             _, factors = factor_rational(poly)
             assert sorted(factors) == sorted(chosen.items())
+
+
+INT_POLYS = st.lists(st.integers(-40, 40), max_size=6).map(_trim)
+
+
+class TestGcd:
+    @given(INT_POLYS, INT_POLYS, INT_POLYS)
+    @settings(max_examples=200, deadline=None)
+    @example((1, 1), (), (2, 3))  # one operand zero
+    @example((1, 1), (), ())  # both zero
+    @example((1,), (6,), (1, 2, 1))  # a constant operand
+    @example((3, -2), (1, 0, -1), (-5, 7))  # negative leading coefficients
+    @example((2, -3, 1, 4), (1,), (1,))  # equal operands
+    @example((3, 2), (-1, -2), (2, 1))  # the digits at the first xi are not the gcd
+    @example((2, -1), (-4, 5, 2), (1,))  # a common root at 2: xi = 3 reads a wrong gcd, 6 does not
+    @example((-6,), (4, -4, -3), (0, 2, -1))  # the first candidate divides one operand only
+    @example(  # 40-bit coefficients
+        (1099511627779, -549755813881, 5), (-34359738368, 11, 3486784401), (678223072849, -1, 2199023255552, 9)
+    )
+    def test_matches_pseudo_remainder_gcd(self, common, a, b):
+        f, g = _trim(_mul(common, a)), _trim(_mul(common, b))
+        with time_guard(2):
+            d = polynomials._gcd(f, g)
+        assert d == gcd_reference(f, g)
+        if d:
+            assert _divide(f, d) is not None and _divide(g, d) is not None
+            assert _divide(d, _primitive(common)) is not None
 
 
 class TestSquarefree:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import textwrap
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations_with_replacement, product
 from pathlib import Path
 from unittest import mock
 
@@ -113,8 +113,6 @@ class TestPositiveFloor:
             for args, kwargs in [
                 ((2, 1, [2, 2]), {"extra": 10**15}),
                 ((40, 20, [2] * 40), {}),
-                # the last subset's rank is C(36, 18) - 1 = 9,075,135,299
-                ((36, 18, [2] * 36), {"first_subset": tuple(range(19, 37))}),
             ]:
                 with pytest.raises(DomainError, match="takes more than 41000000 steps"):
                     check_positive_floor(*args, **kwargs)
@@ -135,43 +133,10 @@ class TestPositiveFloor:
             rep = check_positive_floor(1, 1, [Fraction(10**6 + 1, 10**6)], extra=0)
         assert rep.ok and rep.n_values == (10**6 + 1,) and rep.checked == 1
 
-    def test_shard_merge_equals_full(self):
-        p, q, n = 3, 2, 3
-        full = sorted(j.subsets for j in multi_indices(p, q, n))
-        sharded = []
-        for first in combinations(range(1, p + 1), q):
-            sharded.extend(j.subsets for j in multi_indices(p, q, n, first_subset=first))
-        assert full == sorted(sharded)
-
-    def test_sharded_check_merges(self):
-        full = check_positive_floor(3, 2, [2, 2, 2])
-        shard_counts = 0
-        for first in combinations(range(1, 4), 2):
-            rep = check_positive_floor(3, 2, [2, 2, 2], first_subset=first)
-            assert rep.ok
-            shard_counts += rep.checked
-        assert shard_counts == full.checked
-
-    def test_small_shard_of_large_enumeration_runs(self):
-        # the full N = 6..7 enumeration is over the bound; the shard of the
-        # last subset has one multi-index for each N
-        rep = check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 9))
-        assert rep.ok
-        assert rep.checked == 2
-
-    def test_shard_first_subset_validated_before_counting(self):
-        with pytest.raises(DomainError, match="is not a q-subset of 1..9"):
-            check_positive_floor(9, 3, [2] * 9, first_subset=(7, 8, 10))
-        with pytest.raises(DomainError, match="takes more than 41000000 steps"):
-            check_positive_floor(9, 3, [2] * 9, first_subset=(1, 2, 3))
-
     def test_multi_indices_of_n_zero_and_below(self):
         assert [j.subsets for j in multi_indices(3, 2, 0)] == [()]
-        # every multi-index of a shard holds its first subset
-        assert list(multi_indices(3, 2, 0, first_subset=(1, 2))) == []
-        for first in [None, (1, 2)]:
-            with pytest.raises(DomainError, match="need n >= 0"):
-                list(multi_indices(3, 2, -1, first_subset=first))
+        with pytest.raises(DomainError, match="need n >= 0"):
+            list(multi_indices(3, 2, -1))
 
 
 class TestStepCount:
@@ -190,7 +155,7 @@ class TestStepCount:
                         if count > 10**6:
                             break
                         admitted += 1
-                        most = max(most, symdiff._steps(p, q, range(lo, hi + 1), None))
+                        most = max(most, symdiff._steps(p, q, range(lo, hi + 1)))
         assert admitted == 32328
         assert most == 40_320_090 <= MAX_STEPS
 
@@ -198,36 +163,28 @@ class TestStepCount:
         # computing C(9 * 10^5 - 1, 6 * 10^5) alone takes seconds
         p = 3 * 10**5
         with time_guard(1):
-            assert symdiff._steps(p, 1, range(2 * p, 2 * p + 2), None) > MAX_STEPS
+            assert symdiff._steps(p, 1, range(2 * p, 2 * p + 2)) > MAX_STEPS
 
     @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_count_matches_enumeration(self, p):
         for q in range(1, p + 1):
-            subsets = list(combinations(range(1, p + 1), q))
-            for first in [None, *subsets]:
-                rank = 0 if first is None else subsets.index(first)
-                for lo in range(1, 5):
-                    for hi in range(lo, 5):
-                        n_values = range(lo, hi + 1)
-                        enumerated = sum(
-                            n * q + p for n in n_values for _ in multi_indices(p, q, n, first)
-                        )
-                        assert symdiff._steps(p, q, n_values, first) - rank == enumerated
+            for lo in range(1, 5):
+                for hi in range(lo, 5):
+                    n_values = range(lo, hi + 1)
+                    enumerated = sum(n * q + p for n in n_values for _ in multi_indices(p, q, n))
+                    assert symdiff._steps(p, q, n_values) == enumerated
 
 
-def reference_positive_floor(p, q, mults, extra, first_subset=None):
+def reference_positive_floor(p, q, mults, extra):
     """The check as it was written before it compared occupancies with
     per-index thresholds: every multi-index built, its occupancy taken, and
-    the floor exponent of each index computed.  A shard is the part of the
-    full enumeration whose smallest subset is ``first_subset``."""
+    the floor exponent of each index computed."""
     ms = tuple(as_multiplicity(m) for m in mults)
     threshold = positive_floor_threshold(p, q, ms)
     n_values = tuple(range(threshold, threshold + extra + 1))
     checked, bad = 0, []
     for n in n_values:
         for j in multi_indices(p, q, n):
-            if first_subset is not None and j.subsets[0] != first_subset:
-                continue
             checked += 1
             k = occupancy(j)
             if not any(symdiff.floor_coefficient_multiple(kj, m) > 0 for kj, m in zip(k, ms)):
@@ -236,10 +193,9 @@ def reference_positive_floor(p, q, mults, extra, first_subset=None):
 
 
 def assert_matches_reference(p, q, mults, extra):
-    for first in [None, *combinations(range(1, p + 1), q)]:
-        report = check_positive_floor(p, q, mults, extra=extra, first_subset=first)
-        got = (report.threshold, report.n_values, report.checked, report.counterexamples)
-        assert got == reference_positive_floor(p, q, mults, extra, first), (p, q, mults, first)
+    report = check_positive_floor(p, q, mults, extra=extra)
+    got = (report.threshold, report.n_values, report.checked, report.counterexamples)
+    assert got == reference_positive_floor(p, q, mults, extra), (p, q, mults)
 
 
 POSITIVE_FLOOR_MULTS = (Fraction(3, 2), 2, Fraction(5, 2), 3, INFINITY)
@@ -274,27 +230,6 @@ class TestPositiveFloorAgainstReference:
         for p, q, mults in cases:
             assert not check_positive_floor(p, q, mults, extra=2).ok
             assert_matches_reference(p, q, mults, extra=2)
-
-    def test_shard_rank_is_listed_index(self):
-        for p in range(1, 9):
-            for q in range(1, p + 1):
-                for index, subset in enumerate(combinations(range(1, p + 1), q)):
-                    assert symdiff._shard_first(p, q, subset) == (subset, index)
-
-    def test_shard_first_subset_checked_directly(self):
-        assert symdiff._shard_first(5, 3, (4, 1, 2)) == ((1, 2, 4), 1)
-        for bad in [(1, 2), (1, 2, 3, 4), (1, 1, 2), (0, 1, 2), (1, 2, 6)]:
-            with pytest.raises(DomainError, match=r"is not a q-subset of 1\.\.5"):
-                symdiff._shard_first(5, 3, bad)
-            with pytest.raises(DomainError, match=r"is not a q-subset of 1\.\.5"):
-                list(multi_indices(5, 3, 2, first_subset=bad))
-
-    def test_last_subset_shard_of_large_pool_is_fast(self):
-        # C(20, 10) = 184,756 subsets; the shard of the last one has one
-        # multi-index for each of N = 4, 5
-        with time_guard(1):
-            rep = check_positive_floor(20, 10, [2] * 20, first_subset=tuple(range(11, 21)))
-        assert rep.ok and rep.checked == 2
 
 
 class TestRelativeExponent:
