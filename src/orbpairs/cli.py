@@ -79,7 +79,7 @@ def cmd_familydim(args: argparse.Namespace, doc: SpecDocument) -> Result:
         "parameters": report.parameters,
         "conditions": report.conditions,
         "dimension": report.dimension,
-        "identity": report.identity_value,
+        "identity": report.dimension,
     }
     extra = {"name": args.name, "degree": report.degree, "note": report.note}
     return shown, extra, [f"note: {report.note}"] if report.note else []

@@ -97,12 +97,6 @@ class ContactRecord:
     point: HomogeneousPoly2
     contacts: tuple[tuple[str, int], ...]
 
-    def contact(self, label: str) -> int | None:
-        for lbl, t in self.contacts:
-            if lbl == label:
-                return t
-        return None
-
     @property
     def orbit_size(self) -> int:
         return self.point.degree

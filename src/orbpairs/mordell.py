@@ -239,7 +239,6 @@ def search_points(
             c = abs(a - b) if minus else a + b
             if c in q_full and math.gcd(a, b) == 1:
                 found.append(RationalPoint(a, b))
-    found.sort(key=lambda pt: (pt.b, pt.a))
     return found
 
 
@@ -272,7 +271,6 @@ def search_classical(
             ok, gamma = is_perfect_power(total, triple.q)
             if ok:
                 out.append(ClassicalWitness(alpha, beta, gamma))
-    out.sort(key=lambda w: (w.beta, w.alpha))
     return out
 
 

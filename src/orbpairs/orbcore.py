@@ -118,15 +118,6 @@ class Multiplicity:
             return Fraction(1)
         return 1 - Fraction(1, 1) / self._value
 
-    @classmethod
-    def from_coefficient(cls, c: Fraction | int) -> "Multiplicity":
-        c = Fraction(c)
-        if c < 0 or c > 1:
-            raise DomainError(f"coefficient {c} outside [0, 1]")
-        if c == 1:
-            return cls.infinity()
-        return cls(1 / (1 - c))
-
     def scale(self, t: int) -> "Multiplicity":
         """t * m for a positive integer t; t * oo = oo."""
         if not isinstance(t, int) or t < 1:
@@ -176,7 +167,12 @@ def coefficient(m: MultiplicityLike) -> Fraction:
 
 def multiplicity_from_coefficient(c: Fraction | int) -> Multiplicity:
     """Inverse of ``coefficient``: 1 -> infinity, else 1/(1-c)."""
-    return Multiplicity.from_coefficient(c)
+    c = Fraction(c)
+    if c < 0 or c > 1:
+        raise DomainError(f"coefficient {c} outside [0, 1]")
+    if c == 1:
+        return INFINITY
+    return Multiplicity(1 / (1 - c))
 
 
 def mult_min(ms: Iterable[MultiplicityLike]) -> Multiplicity:
@@ -226,9 +222,11 @@ class OrbifoldDivisor:
         entries = self._entries
         pairs = entries.items() if isinstance(entries, Mapping) else entries
         items: dict[str, Multiplicity] = {}
+        seen: set[str] = set()
         for label, m in pairs:
-            if label in items:
+            if label in seen:
                 raise DomainError(f"duplicate divisor label {label!r}")
+            seen.add(label)
             mult = as_multiplicity(m)
             if not mult.is_one:
                 items[label] = mult
@@ -263,10 +261,6 @@ class OrbifoldDivisor:
     def sum_coefficients(self) -> Fraction:
         return sum((m.coefficient() for m in self._entries.values()), Fraction(0))
 
-    def leq(self, other: "OrbifoldDivisor") -> bool:
-        """True iff other - self is effective (labelwise m <= m')."""
-        return all(m <= other.multiplicity(label) for label, m in self._entries.items())
-
     def __hash__(self) -> int:
         return hash(tuple(self._entries.items()))
 
@@ -284,5 +278,6 @@ class OrbifoldDivisor:
 
 
 def divisor_leq(delta: OrbifoldDivisor, delta_prime: OrbifoldDivisor) -> bool:
-    """The lattice order: delta <= delta' iff delta' - delta is effective."""
-    return delta.leq(delta_prime)
+    """The lattice order: delta <= delta' iff delta' - delta is effective
+    (labelwise m <= m')."""
+    return all(m <= delta_prime.multiplicity(label) for label, m in delta.items())

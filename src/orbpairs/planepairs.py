@@ -107,7 +107,6 @@ class FamilyDimReport:
     parameters: int
     conditions: int
     dimension: int
-    identity_value: int
     note: str | None
 
 
@@ -139,6 +138,5 @@ def family_dim_report(pair: PlaneArrangementPair, degree: int) -> FamilyDimRepor
         parameters=parameters,
         conditions=conditions,
         dimension=dimension,
-        identity_value=dimension,
         note=note,
     )

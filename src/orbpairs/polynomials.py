@@ -515,7 +515,7 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
             size += 1
     if len(remaining) >= 2:
         result.append(remaining)
-    return sorted(result)
+    return result
 
 
 def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
@@ -582,14 +582,6 @@ class HomogeneousPoly2:
     def mul(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
         return HomogeneousPoly2(self.degree + other.degree, tuple(_mul(self.coeffs, other.coeffs)))
 
-    def canonical(self) -> "HomogeneousPoly2":
-        """Primitive integer form, positive at the top s-power: the canonical
-        representative used to group irreducible factors across pullbacks."""
-        if self.is_zero:
-            raise DomainError("the zero form has no canonical representative")
-        prim = content_primitive(_trim(self.coeffs))[1]
-        return HomogeneousPoly2(self.degree, prim + (0,) * (self.degree + 1 - len(prim)))
-
     def factor(self) -> tuple[Fraction, list[tuple["HomogeneousPoly2", int]]]:
         """Factor into canonical irreducible forms with exponents.
 
@@ -604,8 +596,6 @@ class HomogeneousPoly2:
             out.append((HomogeneousPoly2.variable("s"), sval))
         if uval:
             out.append((HomogeneousPoly2.variable("u"), uval))
-        if len(core) == 1:
-            return core[0], out
         content, factors = factor_rational(core)
         out.extend((HomogeneousPoly2(len(irr) - 1, irr), e) for irr, e in factors)
         out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))

@@ -61,13 +61,12 @@ class Token:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str
     line: int
     col: int
     message: str
 
     def __str__(self) -> str:
-        return f"{self.line}:{self.col}: {self.severity}: {self.message}"
+        return f"{self.line}:{self.col}: error: {self.message}"
 
 
 _SYMBOLS = {
@@ -124,7 +123,7 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
             while j < n and (source[j].isalnum() or source[j] == "_"):
                 j += 1
         else:
-            diagnostics.append(Diagnostic("error", line, col, f"unexpected character {ch!r}"))
+            diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
             i = j
             continue
         tokens.append(Token(kind, source[i:j], line, col))
@@ -189,7 +188,7 @@ class ParseResult:
 
     @property
     def ok(self) -> bool:
-        return not any(d.severity == "error" for d in self.diagnostics)
+        return not self.diagnostics
 
 
 class _Abort(Exception):
@@ -200,7 +199,7 @@ class _Abort(Exception):
 
 
 def _diag(tok: Token, message: str) -> Diagnostic:
-    return Diagnostic("error", tok.line, tok.col, message)
+    return Diagnostic(tok.line, tok.col, message)
 
 
 def _require(values: dict, names: tuple[str, ...], owner: str) -> None:
@@ -253,7 +252,10 @@ class _Parser:
         return _Abort(_diag(tok, message))
 
     def report(self, diagnostic: Diagnostic) -> None:
-        self.diagnostics.append(diagnostic)
+        """Record ``diagnostic``; an exact repeat of the last one (an EOF met
+        by every enclosing block) is dropped."""
+        if not self.diagnostics or self.diagnostics[-1] != diagnostic:
+            self.diagnostics.append(diagnostic)
 
     # -- recovery
 
@@ -475,14 +477,18 @@ class _Parser:
         getattr(self.document, kind + "s")[name.text] = value
 
     def _statement_loop(self, handler) -> None:
-        """Run per-statement handlers until the closing brace; a bad
-        statement is skipped so it does not lose the declaration."""
+        """Run per-statement handlers until the closing brace; the rest of a
+        bad statement is skipped so it does not lose the declaration.  A
+        statement that failed after reading its closing ``;`` or ``}`` has no
+        rest to skip."""
         while not self.at("RBRACE") and not self.at("EOF"):
+            start = self.pos
             try:
                 handler()
             except _Abort as abort:
                 self.report(abort.diagnostic)
-                self.skip_statement()
+                if self.pos == start or self.tokens[self.pos - 1].kind not in ("SEMI", "RBRACE"):
+                    self.skip_statement()
         self.expect("RBRACE")
 
     def _fields(self, names: tuple[str, ...], what: str, read) -> dict:
@@ -509,6 +515,8 @@ class _Parser:
             nonlocal genus
             tok = self.keyword("genus", "point")
             if tok.text == "genus":
+                if genus is not None:
+                    raise self.error(tok, "duplicate field genus")
                 genus = self.parse_int("genus")
                 self.expect("SEMI")
                 return
@@ -604,6 +612,8 @@ class _Parser:
             nonlocal upper_name
             tok = self.keyword("lower", "upper")
             if tok.text == "upper":
+                if upper_name is not None:
+                    raise self.error(tok, "duplicate field upper")
                 self.expect("EQUALS")
                 upper_name = self.expect("IDENT", what="fibration name").text
                 if self.at("SEMI"):

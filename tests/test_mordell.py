@@ -111,13 +111,16 @@ class TestEnumerate:
     def test_sieve_bound_is_checked_before_sieving(self):
         # 2-full values up to 10^15 need primes up to 3.2 * 10^7 (about
         # 6.9 * 10^7 values); at 33 steps a root, the largest admitted root
-        # is 1,242,424
+        # is 1,242,424; the refusal must come before any sieving
         with time_guard(1):
             with pytest.raises(
                 DomainError,
                 match="enumerating the 2-full values up to 1000000000000000 takes more than 41000000 steps",
             ):
                 enumerate_p_full(10**15, 2)
+        # the admitted enumerations do sieve, so they get a hang guard
+        # rather than a speed bound
+        with time_guard(10):
             assert len(enumerate_p_full(10**10, 2)) == 214122
             assert len(enumerate_p_full(10**15, 3)) == 434572
 

@@ -175,6 +175,27 @@ class TestDiagnostics:
             result = parse(source)
         assert [str(d) for d in result.diagnostics] == expected
 
+    @given(st.lists(st.tuples(st.sampled_from("PQR"), st.integers(0, 3)), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_one_diagnostic_per_bad_point(self, points):
+        # a point fails on 'mult 0' before its ';' and on a repeated label
+        # after it; neither may swallow the statement on the next line
+        source = "curve c { genus 0;\n" + "".join(f"point {lbl} mult {m};\n" for lbl, m in points) + "}"
+        kept: dict[str, int] = {}
+        bad_lines = []
+        for line, (lbl, m) in enumerate(points, start=2):
+            if m == 0 or lbl in kept:
+                bad_lines.append(line)
+            else:
+                kept[lbl] = m
+        with time_guard(5):
+            result = parse(source)
+        assert [d.line for d in result.diagnostics] == bad_lines
+        marks = result.document.curves["c"].marks
+        assert {lbl: marks.multiplicity(lbl) for lbl in kept} == {
+            lbl: Multiplicity(m) for lbl, m in kept.items()
+        }
+
     def test_recovery_keeps_the_first_block(self):
         with time_guard(5):
             result = parse("morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }")

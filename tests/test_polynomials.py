@@ -641,10 +641,15 @@ class TestHomogeneousForms:
             _, factors = form.factor()
             assert sum(f.degree * e for f, e in factors) == d
 
-    def test_canonical_normalization(self):
+    def test_factors_are_canonical(self):
+        # -2/3 u - 4/3 s: the factor is primitive and positive at the top
+        # s-power, the rational content goes to the unit
         form = HomogeneousPoly2(1, (Fraction(-2, 3), Fraction(-4, 3)))
-        canon = form.canonical()
-        assert canon.coeffs == (Fraction(1), Fraction(2))
+        assert form.factor() == (Fraction(-2, 3), [(HomogeneousPoly2(1, (1, 2)), 1)])
+        # a monomial's core is a constant, which factor_rational returns as
+        # the content
+        s = HomogeneousPoly2.variable("s")
+        assert HomogeneousPoly2(3, (0, 0, 0, 5)).factor() == (Fraction(5), [(s, 3)])
 
     def test_gcd(self):
         s = HomogeneousPoly2.variable("s")

@@ -49,6 +49,10 @@ def test_multiplicity_one_entries_are_dropped():
 def test_duplicate_labels_raise():
     with pytest.raises(DomainError, match="duplicate divisor label 'a'"):
         OrbifoldDivisor([("a", 2), ("a", 3)])
+    # an entry of multiplicity 1 is dropped, but its label still counts
+    for entries in ([("a", 1), ("a", 2)], [("a", 2), ("a", 1)], [("a", 1), ("a", 1)]):
+        with pytest.raises(DomainError, match="duplicate divisor label 'a'"):
+            OrbifoldDivisor(entries)
     with pytest.raises(DomainError, match="duplicate component label 'L1'"):
         PlaneArrangementPair([("L1", 1, 2), ("L1", 1, 3)])
 

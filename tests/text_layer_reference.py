@@ -57,7 +57,7 @@ def tokenize(source):
             col += j - i
             i = j
             continue
-        diagnostics.append(Diagnostic("error", line, col, f"unexpected character {ch!r}"))
+        diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
         i += 1
         col += 1
     tokens.append(Token("EOF", "", line, col))
