@@ -44,7 +44,7 @@ def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
     path = Path(file)
     try:
         source = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     return path, parse(source)
 

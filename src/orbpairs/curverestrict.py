@@ -54,11 +54,8 @@ class ParamPlaneCurve:
         nonzero = [c for c in coords if not c.is_zero]
         if not nonzero:
             raise DomainError("parametrization is identically zero")
-        common = nonzero[0]
-        for c in nonzero[1:]:
-            if common.degree == 0:
-                break
-            common = poly2_gcd(common, c)
+        # a lone nonzero coordinate is its own common factor, shown as given
+        common = nonzero[0] if len(nonzero) == 1 else poly2_gcd(*nonzero)
         if common.degree > 0:
             raise DomainError(
                 f"parametrization has the common factor {common}; remove base points"

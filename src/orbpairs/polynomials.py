@@ -556,7 +556,7 @@ class HomogeneousPoly2:
     def __post_init__(self) -> None:
         if self.degree < 0:
             raise DomainError(f"degree must be nonnegative, got {self.degree}")
-        cs = tuple(Fraction(c) for c in self.coeffs)
+        cs = tuple(c if type(c) is Fraction else Fraction(c) for c in self.coeffs)
         if len(cs) != self.degree + 1:
             raise DomainError(
                 f"degree-{self.degree} form needs {self.degree + 1} coefficients, got {len(cs)}"
@@ -577,7 +577,7 @@ class HomogeneousPoly2:
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.coeffs)
 
     def mul(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
         return HomogeneousPoly2(self.degree + other.degree, tuple(_mul(self.coeffs, other.coeffs)))
@@ -612,14 +612,18 @@ def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
     return nonzero[0], form.degree - nonzero[-1], form.coeffs[nonzero[0] : nonzero[-1] + 1]
 
 
-def poly2_gcd(f: HomogeneousPoly2, g: HomogeneousPoly2) -> HomogeneousPoly2:
-    """gcd of two nonzero homogeneous forms, in canonical form."""
-    if f.is_zero or g.is_zero:
+def poly2_gcd(*forms: HomogeneousPoly2) -> HomogeneousPoly2:
+    """gcd of nonzero homogeneous forms, in canonical form: the least powers
+    of s and of u times the gcd of the forms' integer cores."""
+    if any(f.is_zero for f in forms):
         raise DomainError("gcd with the zero form")
-    fs, fu, fcore = _split(f)
-    gs, gu, gcore = _split(g)
-    core = _gcd(content_primitive(fcore)[1], content_primitive(gcore)[1])
-    coeffs = (0,) * min(fs, gs) + core + (0,) * min(fu, gu)
+    svals, uvals, cores = zip(*map(_split, forms))
+    core: IPoly = ()
+    for fcore in sorted(cores, key=len):  # shortest first: a monomial ends it at once
+        core = _gcd(core, content_primitive(fcore)[1]) if len(fcore) > 1 else (1,)
+        if len(core) == 1:
+            break
+    coeffs = (0,) * min(svals) + core + (0,) * min(uvals)
     return HomogeneousPoly2(len(coeffs) - 1, coeffs)
 
 
@@ -635,24 +639,20 @@ class HomogeneousPoly3:
     terms: tuple[tuple[tuple[int, int, int], Fraction], ...]
 
     def __post_init__(self) -> None:
-        seen: dict[tuple[int, int, int], Fraction] = {}
-        for expo, c in self.terms:
-            i, j, k = expo
-            if i < 0 or j < 0 or k < 0 or i + j + k != self.degree:
-                raise DomainError(
-                    f"monomial {expo} is not homogeneous of degree {self.degree}"
-                )
-            c = Fraction(c)
-            if c != 0:
-                seen[expo] = seen.get(expo, Fraction(0)) + c
-        canon = tuple(sorted((e, c) for e, c in seen.items() if c != 0))
-        object.__setattr__(self, "terms", canon)
+        # a monomial map: canonical terms are sorted, with nonzero Fractions
+        canon = sorted((e, c if type(c) is Fraction else Fraction(c)) for e, c in self.terms if c)
+        object.__setattr__(self, "terms", tuple(canon))
 
     @classmethod
     def from_dict(
         cls, degree: int, terms: Mapping[tuple[int, int, int], Fraction | int]
     ) -> "HomogeneousPoly3":
-        return cls(degree, tuple((e, Fraction(c)) for e, c in terms.items()))
+        """The form with these terms, each monomial checked to have degree
+        ``degree``; the constructor itself trusts its monomials."""
+        for i, j, k in terms:
+            if min(i, j, k) < 0 or i + j + k != degree:
+                raise DomainError(f"monomial {(i, j, k)} is not homogeneous of degree {degree}")
+        return cls(degree, tuple(terms.items()))
 
     @property
     def is_zero(self) -> bool:

@@ -20,10 +20,11 @@ whole document is read.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
@@ -51,8 +52,7 @@ _MAX_DEGREE = 1000
 # tokens and diagnostics
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -70,20 +70,19 @@ class Diagnostic:
 
 
 _SYMBOLS = {
-    "{": "LBRACE",
-    "}": "RBRACE",
-    ";": "SEMI",
-    "=": "EQUALS",
-    "/": "SLASH",
-    "*": "STAR",
-    "^": "CARET",
-    "+": "PLUS",
-    "-": "MINUS",
-    "(": "LPAREN",
-    ")": "RPAREN",
+    "{": "LBRACE", "}": "RBRACE", ";": "SEMI", "=": "EQUALS", "/": "SLASH", "*": "STAR",
+    "^": "CARET", "+": "PLUS", "-": "MINUS", "(": "LPAREN", ")": "RPAREN", "->": "ARROW",
 }
 
 _PLANE_VARIABLES = ("x0", "x1", "x2")
+
+
+# One match per token: the blanks before it, then a run of word characters
+# (letters, digits, other numeric characters and '_'), a symbol, a line
+# break, a comment (which ends at the line break), any other character
+# (which is no token) or the end of the source.  Every character starts
+# some branch, so the blanks are never backtracked into.
+_TOKEN = re.compile(r"([ \t\r]*)(?:(\w+)|(->|[{};=/*^+\-()])|(\n)|#.*|(.)|\Z)")
 
 
 def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
@@ -91,45 +90,49 @@ def tokenize(source: str) -> tuple[list[Token], list[Diagnostic]]:
     offset from the start of its line, plus one."""
     tokens: list[Token] = []
     diagnostics: list[Diagnostic] = []
-    line, line_start = 1, 0
-    i = 0
-    n = len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
-            line, line_start = line + 1, i + 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "#":  # a comment runs to the end of its line
-            i = source.find("\n", i)
-            if i < 0:
-                i = n
-            continue
-        col = i - line_start + 1
-        j = i + 1
-        if ch == "-" and source.startswith(">", j):
-            kind, j = "ARROW", j + 1
-        elif ch in _SYMBOLS:
-            kind = _SYMBOLS[ch]
-        elif ch.isdigit():
-            kind = "NUMBER"
-            while j < n and source[j].isdigit():
-                j += 1
-        elif ch.isalpha() or ch == "_":
-            kind = "IDENT"
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-        else:
-            diagnostics.append(Diagnostic(line, col, f"unexpected character {ch!r}"))
-            i = j
-            continue
-        tokens.append(Token(kind, source[i:j], line, col))
-        i = j
-    tokens.append(Token("EOF", "", line, n - line_start + 1))
+    new = tuple.__new__  # a Token without the call to its generated __new__
+    line, col = 1, 1
+    for blanks, word, symbol, newline, bad in _TOKEN.findall(source):
+        col += len(blanks)
+        if word:
+            if word[0].isalpha() or word[0] == "_":
+                tokens.append(new(Token, ("IDENT", word, line, col)))
+            elif word.isdigit():
+                tokens.append(new(Token, ("NUMBER", word, line, col)))
+            else:
+                _split_word(word, line, col, tokens, diagnostics)
+            col += len(word)
+        elif symbol:
+            tokens.append(new(Token, (_SYMBOLS[symbol], symbol, line, col)))
+            col += len(symbol)
+        elif newline:
+            line, col = line + 1, 1
+        elif bad:
+            diagnostics.append(Diagnostic(line, col, f"unexpected character {bad!r}"))
+            col += 1
+    tokens.append(Token("EOF", "", line, len(source) - source.rfind("\n")))  # past the last line
     return tokens, diagnostics
+
+
+def _split_word(word: str, line: int, col: int, tokens: list, diagnostics: list) -> None:
+    """Tokenize a run of word characters that starts with a digit or another
+    numeric character: each run of digits is a NUMBER, a letter or '_'
+    starts an IDENT to the end of the run, and any other character is no
+    token."""
+    k = 0
+    while k < len(word):
+        ch = word[k]
+        if ch.isalpha() or ch == "_":
+            tokens.append(Token("IDENT", word[k:], line, col + k))
+            return
+        j = k + 1
+        if ch.isdigit():
+            while j < len(word) and word[j].isdigit():
+                j += 1
+            tokens.append(Token("NUMBER", word[k:j], line, col + k))
+        else:
+            diagnostics.append(Diagnostic(line, col + k, f"unexpected character {ch!r}"))
+        k = j
 
 
 # ---------------------------------------------------------------------------
@@ -217,36 +220,33 @@ class _Parser:
         self.twostages: list[tuple[Token, Callable[[], TwoStageDecl]]] = []
         self.paren_depth = 0
 
-    # -- token plumbing
+    # -- token plumbing: the next token is self.tokens[self.pos], and a step
+    # past it is self.pos += 1, never taken at EOF
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> Token:
+    def accept(self, kind: str, text: str | None = None) -> bool:
+        """Consume the next token if it has this kind (and text)."""
         tok = self.tokens[self.pos]
-        if tok.kind != "EOF":
-            self.pos += 1
-        return tok
-
-    def at(self, kind: str, text: str | None = None) -> bool:
-        tok = self.peek()
-        return tok.kind == kind and (text is None or tok.text == text)
+        matched = tok.kind == kind and (text is None or tok.text == text)
+        self.pos += matched
+        return matched
 
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Token:
-        if self.at(kind, text):
-            return self.advance()
-        tok = self.peek()
+        tok = self.tokens[self.pos]
+        if tok.kind == kind and (text is None or tok.text == text):
+            self.pos += 1
+            return tok
         wanted = what or (text if text is not None else kind.lower())
         raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
 
     def keyword(self, *options: str) -> Token:
         """Consume one of the keywords ``options``."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind != "IDENT" or tok.text not in options:
             quoted = [repr(o) for o in options]
             wanted = ", ".join(quoted[:-1]) + " or " + quoted[-1]
             raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
     def error(self, tok: Token, message: str) -> _Abort:
         return _Abort(_diag(tok, message))
@@ -263,11 +263,10 @@ class _Parser:
         """Advance past the next semicolon or balanced brace block, stopping
         at an unmatched closing brace or EOF."""
         depth = 0
-        while not self.at("EOF"):
-            kind = self.peek().kind
+        while (kind := self.tokens[self.pos].kind) != "EOF":
             if kind == "RBRACE" and depth == 0:
                 return
-            self.advance()
+            self.pos += 1
             if kind == "LBRACE":
                 depth += 1
             elif kind == "RBRACE":
@@ -280,11 +279,10 @@ class _Parser:
     def skip_declaration(self) -> None:
         """Advance to the next top-level declaration keyword."""
         depth = 0
-        while not self.at("EOF"):
-            tok = self.peek()
+        while (tok := self.tokens[self.pos]).kind != "EOF":
             if depth == 0 and tok.kind == "IDENT" and tok.text in _DECL_KEYWORDS:
                 return
-            self.advance()
+            self.pos += 1
             if tok.kind == "LBRACE":
                 depth += 1
             elif tok.kind == "RBRACE":
@@ -303,20 +301,18 @@ class _Parser:
         """``NUMBER [/ NUMBER]`` with a nonzero denominator; an ``int``
         unless the literal has a denominator."""
         value = self.parse_int(what)
-        if not self.at("SLASH"):
+        if not self.accept("SLASH"):
             return value
-        self.advance()
-        den_tok = self.peek()
+        den_tok = self.tokens[self.pos]
         den = self.parse_int("denominator")
         if den == 0:
             raise self.error(den_tok, "zero denominator")
         return Fraction(value, den)
 
     def parse_multiplicity(self) -> Multiplicity:
-        if self.at("IDENT", "inf"):
-            self.advance()
+        tok = self.tokens[self.pos]
+        if self.accept("IDENT", "inf"):
             return Multiplicity.infinity()
-        tok = self.peek()
         value = self.parse_rational("multiplicity (integer, a/b or inf)")
         try:
             return Multiplicity(value)
@@ -331,12 +327,12 @@ class _Parser:
         ``Fraction``."""
         self.paren_depth = 0  # an aborted expression may have left it raised
         terms = self._poly_expr(variables)
-        return {e: c for e, c in terms.items() if c != 0}
+        return {e: c for e, c in terms.items() if c}
 
     def _poly_expr(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         terms = self._poly_term(variables)
-        while self.at("PLUS") or self.at("MINUS"):
-            op = self.advance()
+        while (op := self.tokens[self.pos]).kind in ("PLUS", "MINUS"):
+            self.pos += 1
             rhs = self._poly_term(variables)
             sign = 1 if op.kind == "PLUS" else -1
             for e, c in rhs.items():
@@ -346,8 +342,8 @@ class _Parser:
 
     def _poly_term(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         result = self._poly_unary(variables)
-        while self.at("STAR"):
-            op = self.advance()
+        while (op := self.tokens[self.pos]).kind == "STAR":
+            self.pos += 1
             rhs = self._poly_unary(variables)
             self._check_degree(op, _degree(result) + _degree(rhs))
             result = self._product(op, result, rhs)
@@ -355,31 +351,32 @@ class _Parser:
 
     def _poly_unary(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         negate = False
-        while self.at("MINUS"):
-            self.advance()
+        while self.tokens[self.pos].kind == "MINUS":
+            self.pos += 1
             negate = not negate
         inner = self._poly_power(variables)
         return {e: -c for e, c in inner.items()} if negate else inner
 
     def _poly_power(self, variables) -> dict[tuple[int, ...], int | Fraction]:
         base = self._poly_atom(variables)
-        if not self.at("CARET"):
+        op = self.tokens[self.pos]
+        if op.kind != "CARET":
             return base
-        op = self.advance()
+        self.pos += 1
         expo = self.parse_int("exponent")
         if expo > _MAX_DEGREE:
             raise self.error(op, f"exponent exceeds the limit of {_MAX_DEGREE}")
         self._check_degree(op, _degree(base) * expo)
-        # square and multiply: every square is base^(2^i) with 2^i <= expo,
-        # so the degree check above covers it
-        result = {(0,) * len(variables): 1}
+        # square and multiply from the lowest bit: every square is
+        # base^(2^i) with 2^i <= expo, so the degree check above covers it
+        result = None
         while expo:
             if expo & 1:
-                result = self._product(op, result, base)
+                result = base if result is None else self._product(op, result, base)
             expo >>= 1
             if expo:
                 base = self._product(op, base, base)
-        return result
+        return {(0,) * len(variables): 1} if result is None else result
 
     def _product(self, op: Token, a, b) -> dict[tuple[int, ...], int | Fraction]:
         product = _poly_mul(a, b)
@@ -398,17 +395,18 @@ class _Parser:
             raise self.error(op, f"coefficient exceeds the limit of {MAX_COEFF_DIGITS} digits")
 
     def _poly_atom(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "NUMBER":
             return {(0,) * len(variables): self.parse_rational("number")}
         if tok.kind == "IDENT" and tok.text in variables:
-            self.advance()
-            expo = tuple(1 if v == tok.text else 0 for v in variables)
-            return {expo: 1}
+            self.pos += 1
+            expo = [0] * len(variables)
+            expo[variables.index(tok.text)] = 1
+            return {tuple(expo): 1}
         if tok.kind == "LPAREN":
             if self.paren_depth == _MAX_PAREN_DEPTH:
                 raise self.error(tok, f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels")
-            self.advance()
+            self.pos += 1
             self.paren_depth += 1
             inner = self._poly_expr(variables)
             self.paren_depth -= 1
@@ -422,11 +420,11 @@ class _Parser:
     def homogeneous(self, variables: tuple[str, ...]):
         """Parse a homogeneous polynomial: a HomogeneousPoly3 in the plane
         variables, a HomogeneousPoly2 in (s, u), None if it is zero."""
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         terms = self.parse_poly(variables)
         if not terms:
             return None
-        degrees = {sum(e) for e in terms}
+        degrees = set(map(sum, terms))
         if len(degrees) != 1:
             raise self.error(tok, f"polynomial is not homogeneous in {', '.join(variables)}")
         d = degrees.pop()
@@ -444,8 +442,8 @@ class _Parser:
         reads the body and returns the build step that ``_declare`` runs; a
         twostage queues its build instead, declared once every upper
         fibration is known."""
-        while not self.at("EOF"):
-            kw = self.advance()
+        while (kw := self.tokens[self.pos]).kind != "EOF":
+            self.pos += 1
             if kw.kind != "IDENT" or kw.text not in _DECL_KEYWORDS:
                 self.report(_diag(kw, f"expected a declaration keyword, found {kw.text!r}"))
                 self.skip_declaration()
@@ -481,7 +479,7 @@ class _Parser:
         bad statement is skipped so it does not lose the declaration.  A
         statement that failed after reading its closing ``;`` or ``}`` has no
         rest to skip."""
-        while not self.at("RBRACE") and not self.at("EOF"):
+        while self.tokens[self.pos].kind not in ("RBRACE", "EOF"):
             start = self.pos
             try:
                 handler()
@@ -517,8 +515,9 @@ class _Parser:
             if tok.text == "genus":
                 if genus is not None:
                     raise self.error(tok, "duplicate field genus")
-                genus = self.parse_int("genus")
+                value = self.parse_int("genus")
                 self.expect("SEMI")
+                genus = value  # filed once its statement is whole, as _fields does
                 return
             label = self.expect("IDENT", what="point label").text
             self.expect("IDENT", "mult")
@@ -549,9 +548,8 @@ class _Parser:
             self.expect("IDENT", "mult")
             mult = self.parse_multiplicity()
             form = None
-            if self.at("IDENT", "form"):
-                self.advance()
-                poly_tok = self.peek()
+            if self.accept("IDENT", "form"):
+                poly_tok = self.tokens[self.pos]
                 form = self.homogeneous(_PLANE_VARIABLES)
                 if form is None:
                     raise self.error(poly_tok, "defining form must be nonzero")
@@ -616,8 +614,7 @@ class _Parser:
                     raise self.error(tok, "duplicate field upper")
                 self.expect("EQUALS")
                 upper_name = self.expect("IDENT", what="fibration name").text
-                if self.at("SEMI"):
-                    self.advance()
+                self.accept("SEMI")
                 return
             z_label = self.expect("IDENT", what="Z-divisor label").text
             if z_label in lower:
@@ -718,7 +715,7 @@ class _Parser:
 
 
 def _degree(terms: dict[tuple[int, ...], int | Fraction]) -> int:
-    return max((sum(e) for e in terms), default=0)
+    return max(map(sum, terms), default=0)
 
 
 def _poly_mul(

@@ -33,8 +33,8 @@ class OracleParser(_Parser):
 
     def _poly_expr(self, variables):
         terms = self._poly_term(variables)
-        while self.at("PLUS") or self.at("MINUS"):
-            op = self.advance()
+        while (op := self.tokens[self.pos]).kind in ("PLUS", "MINUS"):
+            self.pos += 1
             rhs = self._poly_term(variables)
             sign = 1 if op.kind == "PLUS" else -1
             for e, c in rhs.items():
@@ -44,8 +44,8 @@ class OracleParser(_Parser):
 
     def _poly_term(self, variables):
         result = self._poly_unary(variables)
-        while self.at("STAR"):
-            op = self.advance()
+        while (op := self.tokens[self.pos]).kind == "STAR":
+            self.pos += 1
             rhs = self._poly_unary(variables)
             self._check_degree(op, _degree(result) + _degree(rhs))
             result = self._product(op, result, rhs)
@@ -53,9 +53,9 @@ class OracleParser(_Parser):
 
     def _poly_power(self, variables):
         base = self._poly_atom(variables)
-        if not self.at("CARET"):
+        op = self.tokens[self.pos]
+        if not self.accept("CARET"):
             return base
-        op = self.advance()
         expo = self.parse_int("exponent")
         if expo > _MAX_DEGREE:
             raise self.error(op, f"exponent exceeds the limit of {_MAX_DEGREE}")
@@ -75,11 +75,11 @@ class OracleParser(_Parser):
         return product
 
     def _poly_atom(self, variables):
-        tok = self.peek()
+        tok = self.tokens[self.pos]
         if tok.kind == "NUMBER":
             return {(0,) * len(variables): Fraction(self.parse_rational("number"))}
         if tok.kind == "IDENT" and tok.text in variables:
-            self.advance()
+            self.pos += 1
             return {tuple(1 if v == tok.text else 0 for v in variables): Fraction(1)}
         return super()._poly_atom(variables)
 

@@ -135,6 +135,15 @@ class TestExitCodes:
         code = main(["-f", "/nonexistent/path.orb", "classify", "c"])
         assert code == 1
 
+    def test_undecodable_file_is_domain_error(self, tmp_path, capsys):
+        src = tmp_path / "bad.orb"
+        src.write_bytes(b"curve c { genus 0; } \xff\n")
+        code = main(["-f", str(src), "classify", "c"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {src}: ")
+        assert "can't decode byte 0xff" in err
+
     def test_missing_file_flag(self, capsys):
         code = main(["classify", "c"])
         assert code == 1

@@ -10,7 +10,9 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from base_point_reference import check_parametrization
 from orbpairs.curveclass import canonical_degree
 from orbpairs.curverestrict import (
     ParamPlaneCurve,
@@ -55,6 +57,54 @@ def line_through(point, other):
     for a, b in zip(point, other):
         coords.append(HomogeneousPoly2(1, (Fraction(b), Fraction(a))))
     return ParamPlaneCurve(*coords)
+
+
+# planted common factors: s, u and s + 2u
+PLANTED = (S, U, HomogeneousPoly2(1, (Fraction(2), Fraction(1))))
+
+
+@st.composite
+def parametrizations(draw):
+    """(planted factor or None, three coordinates of one degree 1-4); each
+    coordinate is zero a quarter of the time, and otherwise has small
+    rational coefficients, times the planted factor if there is one."""
+    degree = draw(st.integers(1, 4))
+    planted = draw(st.sampled_from((None,) + PLANTED))
+    coefficients = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coords = []
+    for _ in range(3):
+        if draw(st.integers(0, 3)) == 0:
+            coords.append(HomogeneousPoly2.zero(degree))
+            continue
+        free = degree if planted is None else degree - 1
+        form = HomogeneousPoly2(free, tuple(draw(st.lists(coefficients, min_size=free + 1, max_size=free + 1))))
+        coords.append(form if planted is None else planted.mul(form))
+    return planted, coords
+
+
+def check_outcome(check, coords) -> str:
+    try:
+        check(*coords)
+    except DomainError as exc:
+        return str(exc)
+    return "accepted"
+
+
+class TestBasePointOracle:
+    """ParamPlaneCurve's one gcd over all nonzero coordinates against the
+    former pairwise fold."""
+
+    @given(parametrizations())
+    @settings(max_examples=200, deadline=None)
+    @example((None, [HomogeneousPoly2(1, (Fraction(4), Fraction(2))), ZERO1, ZERO1]))  # shown as given
+    @example((U, [U.mul(S), ZERO1.mul(S), U.mul(PLANTED[2])]))
+    @example((None, [S.mul(S), U.mul(PLANTED[2]), S.mul(U)]))
+    def test_matches_pairwise_fold(self, case):
+        planted, coords = case
+        outcome = check_outcome(ParamPlaneCurve, coords)
+        assert outcome == check_outcome(check_parametrization, coords)
+        if planted is not None and not all(c.is_zero for c in coords):
+            assert outcome.startswith("parametrization has the common factor")
 
 
 class TestPullback:

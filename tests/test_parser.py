@@ -388,28 +388,40 @@ class TestRoundTrip:
         assert second.ok and second.document == first.document
 
 
+def assert_tokenizes_as_reference(source):
+    tokens, diagnostics = tokenize(source)
+    expected_tokens, expected_diagnostics = reference_tokenize(source)
+    assert diagnostics == expected_diagnostics
+    last_line = source.rsplit("\n", 1)[-1]
+    if "#" in last_line:
+        # the reference gave the EOF token after a trailing comment the
+        # column of the '#'
+        eof, expected_eof = tokens.pop(), expected_tokens.pop()
+        assert (eof.kind, eof.line, eof.col) == ("EOF", expected_eof.line, len(last_line) + 1)
+    assert tokens == expected_tokens
+
+
 class TestTokenizer:
-    # every symbol, the arrow, whitespace, comments, digits (including a
-    # superscript digit), identifiers (including a non-ASCII letter) and
-    # characters that are no token ('Ⅻ' is numeric but not alphabetic)
+    # every symbol, the arrow and its '>', whitespace, comments, digits
+    # (including a superscript digit and '٣', a decimal digit outside ASCII),
+    # identifiers (including a non-ASCII letter) and characters that are no
+    # token ('Ⅻ' and '½' are numeric but neither digits nor letters)
     SOUP = [
-        "\n", "\t", "\r", " ", "#", "->", *"{};=/*^+-()",
-        "0", "7", "42", "a", "x0", "_", "curve", "inf", "²", "é", "Ⅻ", "@", ".",
+        "\n", "\t", "\r", " ", "#", "->", ">", *"{};=/*^+-()",
+        "0", "7", "42", "٣", "a", "x0", "_", "curve", "inf", "²", "é", "Ⅻ", "½", "@", ".",
     ]
 
     @given(st.lists(st.sampled_from(SOUP), max_size=40).map("".join))
     @settings(max_examples=500, deadline=None)
     def test_matches_reference(self, source):
-        tokens, diagnostics = tokenize(source)
-        expected_tokens, expected_diagnostics = reference_tokenize(source)
-        assert diagnostics == expected_diagnostics
-        last_line = source.rsplit("\n", 1)[-1]
-        if "#" in last_line:
-            # the reference gave the EOF token after a trailing comment the
-            # column of the '#'
-            eof, expected_eof = tokens.pop(), expected_tokens.pop()
-            assert (eof.kind, eof.line, eof.col) == ("EOF", expected_eof.line, len(last_line) + 1)
-        assert tokens == expected_tokens
+        assert_tokenizes_as_reference(source)
+
+    def test_every_shipped_and_golden_source_matches_reference(self):
+        sources = [path.read_text(encoding="utf-8") for path in sorted(SPEC_DIR.glob("*.orb"))]
+        sources += json.loads(GOLDEN_DIAGNOSTICS.read_text(encoding="utf-8"))
+        sources += [path.read_text(encoding="utf-8") for path in sorted(GOLDEN_PRINTED.glob("*.txt"))]
+        for source in sources:
+            assert_tokenizes_as_reference(source)
 
     def test_eof_column_after_trailing_comment(self):
         tokens, _ = tokenize("curve c { genus 0; # note")
