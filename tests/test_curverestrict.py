@@ -77,7 +77,8 @@ def parametrizations(draw):
             coords.append(HomogeneousPoly2.zero(degree))
             continue
         free = degree if planted is None else degree - 1
-        form = HomogeneousPoly2(free, tuple(draw(st.lists(coefficients, min_size=free + 1, max_size=free + 1))))
+        coeffs = draw(st.lists(coefficients, min_size=free + 1, max_size=free + 1))
+        form = HomogeneousPoly2(free, tuple(coeffs))
         coords.append(form if planted is None else planted.mul(form))
     return planted, coords
 
