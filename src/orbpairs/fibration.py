@@ -44,24 +44,17 @@ class FiberComponent:
         return self.multiplicity.scale(self.t)
 
 
-def _component(spec: "FiberComponent | tuple[int, MultiplicityLike]") -> FiberComponent:
-    if isinstance(spec, FiberComponent):
-        return spec
-    t, m = spec
-    return FiberComponent(t, as_multiplicity(m))
-
-
 @dataclass(frozen=True)
 class FibrationData:
     """Per-base-divisor fiber component lists; every listed divisor has at
     least one component."""
 
-    _fibers: Mapping[str, Iterable["FiberComponent | tuple[int, MultiplicityLike]"]]
+    _fibers: Mapping[str, Iterable[tuple[int, MultiplicityLike]]]
 
     def __post_init__(self) -> None:
         out: dict[str, tuple[FiberComponent, ...]] = {}
         for label, comps in self._fibers.items():
-            parts = tuple(_component(c) for c in comps)
+            parts = tuple(FiberComponent(t, as_multiplicity(m)) for t, m in comps)
             if not parts:
                 raise DomainError(f"base divisor {label!r} has no fiber components")
             out[label] = parts
@@ -137,18 +130,17 @@ class TwoStageData:
     """
 
     upper: FibrationData
-    _lower: Mapping[str, Iterable["LowerComponent | tuple[int, str]"]]
+    _lower: Mapping[str, Iterable[tuple[int, str]]]
 
     def __post_init__(self) -> None:
         low: dict[str, tuple[LowerComponent, ...]] = {}
+        known = set(self.upper.labels)
         for z_label, comps in self._lower.items():
-            parts = tuple(
-                c if isinstance(c, LowerComponent) else LowerComponent(*c) for c in comps
-            )
+            parts = tuple(LowerComponent(s, y_label) for s, y_label in comps)
             if not parts:
                 raise DomainError(f"Z-divisor {z_label!r} has no components")
             for part in parts:
-                if part.y_label not in self.upper.labels:
+                if part.y_label not in known:
                     raise DomainError(
                         f"Y-divisor {part.y_label!r} referenced by {z_label!r} "
                         f"is not in the upper fibration"
@@ -171,13 +163,12 @@ def compose_base(ts: TwoStageData) -> tuple[OrbifoldDivisor, OrbifoldDivisor]:
     convention is the one the composition rule holds for, so the mode is
     fixed here.
     """
-    flattened: dict[str, list[FiberComponent]] = {}
-    for z_label, comps in ts.lower.items():
-        flat: list[FiberComponent] = []
-        for lc in comps:
-            for fc in ts.upper.components(lc.y_label):
-                flat.append(FiberComponent(lc.s * fc.t, fc.multiplicity))
-        flattened[z_label] = flat
+    flattened = {
+        z_label: [
+            (lc.s * fc.t, fc.multiplicity) for lc in comps for fc in ts.upper.components(lc.y_label)
+        ]
+        for z_label, comps in ts.lower.items()
+    }
     direct = orbifold_base(FibrationData(flattened), "inf")
 
     upper_base = orbifold_base(ts.upper, "inf")

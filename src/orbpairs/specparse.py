@@ -24,7 +24,7 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import add
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Collection, Iterable, NamedTuple
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
@@ -205,6 +205,14 @@ def _diag(tok: Token, message: str) -> Diagnostic:
     return Diagnostic(tok.line, tok.col, message)
 
 
+def _fresh(table: dict, tok: Token, label: str, what: str) -> str:
+    """``label``, which ``table`` must not hold yet; a repeat is a
+    diagnostic at ``tok``."""
+    if label in table:
+        raise _Abort(_diag(tok, f"duplicate {what} {label!r}"))
+    return label
+
+
 def _require(values: dict, names: tuple[str, ...], owner: str) -> None:
     missing = [n for n in names if n not in values]
     if missing:
@@ -238,12 +246,12 @@ class _Parser:
         wanted = what or (text if text is not None else kind.lower())
         raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
 
-    def keyword(self, *options: str) -> Token:
+    def keyword(self, options: Collection[str]) -> Token:
         """Consume one of the keywords ``options``."""
         tok = self.tokens[self.pos]
         if tok.kind != "IDENT" or tok.text not in options:
-            quoted = [repr(o) for o in options]
-            wanted = ", ".join(quoted[:-1]) + " or " + quoted[-1]
+            *rest, last = options
+            wanted = f"{', '.join(map(repr, rest))} or {last!r}" if rest else last
             raise self.error(tok, f"expected {wanted}, found {tok.text!r}")
         self.pos += 1
         return tok
@@ -489,59 +497,58 @@ class _Parser:
                     self.skip_statement()
         self.expect("RBRACE")
 
-    def _fields(self, names: tuple[str, ...], what: str, read) -> dict:
-        """Read ``<field> <value>;`` statements, one per field of ``names``;
-        a field whose statement fails is left out."""
-        values: dict = {}
+    def _statements(
+        self, readers: dict[str, Callable[[Token], object]], what: str = "field", many: tuple = ()
+    ) -> dict:
+        """Read statements up to the closing brace, each a keyword of
+        ``readers`` whose reader consumes the rest of it, its ``;`` or block
+        included.  A keyword not in ``many`` may appear once: its reader's
+        value is filed only when the statement is whole, and a repeat is a
+        diagnostic at the keyword.  Returns the filed values by keyword."""
+        once: dict = {}
 
         def stmt() -> None:
-            tok = self.keyword(*names)
-            if tok.text in values:
+            tok = self.keyword(readers)
+            if tok.text in once:
                 raise self.error(tok, f"duplicate {what} {tok.text}")
-            value = read(tok)
-            self.expect("SEMI")
-            values[tok.text] = value
+            value = readers[tok.text](tok)
+            if tok.text not in many:
+                once[tok.text] = value
 
         self._statement_loop(stmt)
-        return values
+        return once
+
+    def ended(self, value):
+        """``value``, once the ``;`` that ends its statement is read."""
+        self.expect("SEMI")
+        return value
 
     def _parse_curve(self, name: Token):
-        genus: int | None = None
-        points: list[tuple[str, Multiplicity]] = []
+        points: dict[str, Multiplicity] = {}
 
-        def stmt() -> None:
-            nonlocal genus
-            tok = self.keyword("genus", "point")
-            if tok.text == "genus":
-                if genus is not None:
-                    raise self.error(tok, "duplicate field genus")
-                value = self.parse_int("genus")
-                self.expect("SEMI")
-                genus = value  # filed once its statement is whole, as _fields does
-                return
+        def point(tok: Token) -> None:
             label = self.expect("IDENT", what="point label").text
             self.expect("IDENT", "mult")
-            mult = self.parse_multiplicity()
-            self.expect("SEMI")
-            if any(lbl == label for lbl, _ in points):
-                raise self.error(tok, f"duplicate point label {label!r}")
-            points.append((label, mult))
+            mult = self.ended(self.parse_multiplicity())
+            points[_fresh(points, tok, label, "point label")] = mult
 
-        self._statement_loop(stmt)
+        once = self._statements(
+            {"genus": lambda _: self.ended(self.parse_int("genus")), "point": point},
+            many=("point",),
+        )
 
         def build() -> CurveOrbifold:
-            if genus is None:
+            if "genus" not in once:
                 raise DomainError(f"curve {name.text!r} has no genus")
-            return CurveOrbifold(genus, OrbifoldDivisor(points))
+            return CurveOrbifold(once["genus"], OrbifoldDivisor(points))
 
         return build
 
     def _parse_plane(self, name: Token):
-        components: list[tuple[str, int, Multiplicity]] = []
+        components: dict[str, tuple[str, int, Multiplicity]] = {}
         forms: dict[str, HomogeneousPoly3] = {}
 
-        def stmt() -> None:
-            tok = self.expect("IDENT", "component")
+        def component(tok: Token) -> None:
             label = self.expect("IDENT", what="component label").text
             self.expect("IDENT", "degree")
             degree = self.parse_int("degree")
@@ -559,16 +566,14 @@ class _Parser:
                         f"form degree {form.degree} does not match declared degree {degree}",
                     )
             self.expect("SEMI")
-            if any(lbl == label for lbl, _, _ in components):
-                raise self.error(tok, f"duplicate component label {label!r}")
-            components.append((label, degree, mult))
+            components[_fresh(components, tok, label, "component label")] = (label, degree, mult)
             if form is not None:
                 forms[label] = form
 
-        self._statement_loop(stmt)
+        self._statements({"component": component}, many=("component",))
 
         def build() -> PlaneDecl:
-            pair = PlaneArrangementPair(components)
+            pair = PlaneArrangementPair(tuple(components.values()))
             kept = {c.label for c in pair.components}
             return PlaneDecl(pair, {lbl: f for lbl, f in forms.items() if lbl in kept})
 
@@ -577,11 +582,9 @@ class _Parser:
     def _parse_fibration(self, name: Token):
         fibers: dict[str, list[tuple[int, Multiplicity]]] = {}
 
-        def over_block() -> None:
-            tok = self.expect("IDENT", "over")
+        def over(tok: Token) -> None:
             label = self.expect("IDENT", what="base divisor label").text
-            if label in fibers:
-                raise self.error(tok, f"duplicate base divisor {label!r}")
+            _fresh(fibers, tok, label, "base divisor")
             self.expect("LBRACE")
             parts: list[tuple[int, Multiplicity]] = []
 
@@ -590,35 +593,22 @@ class _Parser:
                 self.expect("IDENT", "t")
                 t = self.parse_int("coefficient t")
                 self.expect("IDENT", "mult")
-                mult = self.parse_multiplicity()
-                self.expect("SEMI")
-                parts.append((t, mult))
+                parts.append((t, self.ended(self.parse_multiplicity())))
 
             self._statement_loop(part_stmt)
             if not parts:
                 raise self.error(tok, f"base divisor {label!r} has no fiber components")
             fibers[label] = parts
 
-        self._statement_loop(over_block)
+        self._statements({"over": over}, many=("over",))
         return lambda: FibrationData(fibers)
 
     def _parse_twostage(self, name: Token) -> None:
         lower: dict[str, list[tuple[int, str]]] = {}
-        upper_name: str | None = None
 
-        def stmt() -> None:
-            nonlocal upper_name
-            tok = self.keyword("lower", "upper")
-            if tok.text == "upper":
-                if upper_name is not None:
-                    raise self.error(tok, "duplicate field upper")
-                self.expect("EQUALS")
-                upper_name = self.expect("IDENT", what="fibration name").text
-                self.accept("SEMI")
-                return
+        def lower_block(tok: Token) -> None:
             z_label = self.expect("IDENT", what="Z-divisor label").text
-            if z_label in lower:
-                raise self.error(tok, f"duplicate Z-divisor {z_label!r}")
+            _fresh(lower, tok, z_label, "Z-divisor")
             self.expect("LBRACE")
             parts: list[tuple[int, str]] = []
 
@@ -626,71 +616,70 @@ class _Parser:
                 self.expect("IDENT", "s")
                 s = self.parse_int("coefficient s")
                 self.expect("ARROW")
-                y_label = self.expect("IDENT", what="Y-divisor label").text
-                self.expect("SEMI")
-                parts.append((s, y_label))
+                parts.append((s, self.ended(self.expect("IDENT", what="Y-divisor label").text)))
 
             self._statement_loop(lower_stmt)
             if not parts:
                 raise self.error(tok, f"Z-divisor {z_label!r} has no components")
             lower[z_label] = parts
 
-        self._statement_loop(stmt)
-        if upper_name is None:
+        def upper(_: Token) -> str:
+            self.expect("EQUALS")
+            upper_name = self.expect("IDENT", what="fibration name").text
+            self.accept("SEMI")
+            return upper_name
+
+        once = self._statements({"lower": lower_block, "upper": upper}, many=("lower",))
+        if "upper" not in once:
             self.report(_diag(name, f"twostage {name.text!r} has no upper fibration"))
             return
+        upper_name = once["upper"]
 
         def build() -> TwoStageDecl:
-            upper = self.document.fibrations.get(upper_name)
-            if upper is None:
+            fibration = self.document.fibrations.get(upper_name)
+            if fibration is None:
                 raise DomainError(f"unknown upper fibration {upper_name!r}")
-            return TwoStageDecl(upper_name, TwoStageData(upper, lower))
+            return TwoStageDecl(upper_name, TwoStageData(fibration, lower))
 
         self.twostages.append((name, build))  # the upper fibration may come later
 
     def _parse_morphism(self, name: Token):
         pairs: list[tuple[str, str, int]] = []
-        divisors: dict[str, list[tuple[str, Multiplicity]]] = {}
 
-        def stmt() -> None:
-            tok = self.keyword("pair", "dX", "dY")
-            if tok.text == "pair":
-                y_label = self.expect("IDENT", what="Y-divisor label").text
-                x_label = self.expect("IDENT", what="X-divisor label").text
-                self.expect("IDENT", "t")
-                t = self.parse_int("coefficient t")
-                self.expect("SEMI")
-                pairs.append((y_label, x_label, t))
-                return
-            if tok.text in divisors:
-                raise self.error(tok, f"duplicate {tok.text} block")
-            marks = divisors[tok.text] = []
+        def pair(_: Token) -> None:
+            y_label = self.expect("IDENT", what="Y-divisor label").text
+            x_label = self.expect("IDENT", what="X-divisor label").text
+            self.expect("IDENT", "t")
+            pairs.append((y_label, x_label, self.ended(self.parse_int("coefficient t"))))
+
+        def divisor(tok: Token) -> dict[str, Multiplicity]:
             self.expect("LBRACE")
+            marks: dict[str, Multiplicity] = {}
 
-            def mult_stmt() -> None:
-                label = self.expect("IDENT", what="divisor label").text
+            def mark() -> None:
+                label = self.expect("IDENT", what="divisor label")
                 self.expect("IDENT", "mult")
-                mult = self.parse_multiplicity()
-                self.expect("SEMI")
-                if any(lbl == label for lbl, _ in marks):
-                    raise self.error(tok, f"duplicate label {label!r} in {tok.text}")
-                marks.append((label, mult))
+                mult = self.ended(self.parse_multiplicity())
+                marks[_fresh(marks, label, label.text, f"{tok.text} label")] = mult
 
-            self._statement_loop(mult_stmt)
+            self._statement_loop(mark)
+            return marks
 
-        self._statement_loop(stmt)
+        divisors = self._statements(
+            {"pair": pair, "dX": divisor, "dY": divisor}, what="block", many=("pair",)
+        )
         return lambda: MorphismData(
             tuple(MorphismPair(*pair) for pair in pairs),
-            OrbifoldDivisor(divisors.get("dX", [])),
-            OrbifoldDivisor(divisors.get("dY", [])),
+            OrbifoldDivisor(divisors.get("dX", {})),
+            OrbifoldDivisor(divisors.get("dY", {})),
         )
 
     def _parse_paramcurve(self, name: Token):
         def coordinate(_: Token) -> HomogeneousPoly2 | None:
             self.expect("EQUALS")
-            return self.homogeneous(("s", "u"))
+            return self.ended(self.homogeneous(("s", "u")))
 
-        coords = self._fields(_PLANE_VARIABLES, "coordinate", coordinate)
+        coords = self._statements(dict.fromkeys(_PLANE_VARIABLES, coordinate), "coordinate")
 
         def build() -> ParamPlaneCurve:
             _require(coords, _PLANE_VARIABLES, f"paramcurve {name.text!r}")
@@ -705,7 +694,9 @@ class _Parser:
         return build
 
     def _parse_mordell(self, name: Token):
-        values = self._fields(("p", "q", "r"), "field", lambda tok: self.parse_int(tok.text))
+        values = self._statements(
+            dict.fromkeys(("p", "q", "r"), lambda tok: self.ended(self.parse_int(tok.text)))
+        )
 
         def build() -> OrbifoldP1Triple:
             _require(values, ("p", "q", "r"), f"mordell {name.text!r}")

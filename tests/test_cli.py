@@ -184,7 +184,7 @@ class TestExitCodes:
              "1:36: error: expected 'genus' or 'point', found '{'"),
             ("curve c { genus { ; point P mult 2; }", "1:17: error: expected genus, found '{'"),
             ("morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }",
-             "1:45: error: duplicate dX block"),
+             "1:45: error: duplicate block dX"),
             ("fibration g { over D { part t 1 mult 2; } over D { part t 1 mult 2; } }",
              "1:43: error: duplicate base divisor 'D'"),
             ("morphism m { pair E D t 0; }",

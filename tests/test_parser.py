@@ -161,7 +161,7 @@ class TestDiagnostics:
             ),
             (
                 "morphism m { pair E D t 2; dX { D mult 2; } dX { D mult 3; } }",
-                ["1:45: error: duplicate dX block"],
+                ["1:45: error: duplicate block dX"],
             ),
             (
                 "fibration g { over D { part t 1 mult 2; } over D { part t 1 mult 2; } }",
@@ -297,6 +297,23 @@ class TestDiagnostics:
         assert result.ok
         coeffs = result.document.paramcurves["c"].x0.coeffs
         assert coeffs[:3] == (1, 1000, 499500) and coeffs == coeffs[::-1]
+
+    @pytest.mark.parametrize(
+        "head,entry",
+        [
+            ("curve c { genus 0;", "point P{} mult 2;"),
+            ("plane f {", "component L{} degree 1 mult 2;"),
+            ("morphism m { dY {", "E{} mult 2;"),
+        ],
+    )
+    def test_many_labels_parse_in_linear_time(self, head, entry):
+        # each label is looked up by key, not by a scan of the labels before it
+        body = " ".join(entry.format(i) for i in range(20000))
+        source = f"{head} {body}" + " }" * head.count("{")
+        with time_guard(4):
+            result = parse(source)
+        assert result.ok
+        assert format_document(result.document).count(" mult 2;") == 20000
 
 
 def poly_expressions(variables):

@@ -4,9 +4,10 @@ construction, and equal (with equal hashes) for equal inputs."""
 import pytest
 
 from orbpairs.curveclass import CurveOrbifold
-from orbpairs.fibration import FibrationData, LowerComponent, TwoStageData
+from orbpairs.fibration import FibrationData, TwoStageData
 from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, OrbifoldDivisor
 from orbpairs.planepairs import PlaneArrangementPair
+from timeguard import time_guard
 
 
 def _values():
@@ -66,7 +67,7 @@ def test_equal_inputs_compare_equal():
     assert fd1 != FibrationData({"D": [(2, 3)]})
 
     ts1 = TwoStageData(fd1, {"G": [(1, "E")], "F": [(2, "D")]})
-    ts2 = TwoStageData(fd2, {"F": [LowerComponent(2, "D")], "G": [(1, "E")]})
+    ts2 = TwoStageData(fd2, {"F": [(2, "D")], "G": [(1, "E")]})
     assert ts1 == ts2
     assert ts1.upper == fd2
     assert list(ts1.lower) == ["F", "G"]
@@ -82,6 +83,14 @@ def test_lower_is_a_copy():
     ts = TwoStageData(FibrationData({"D": [(2, 3)]}), {"F": [(1, "D")]})
     ts.lower.clear()
     assert list(ts.lower) == ["F"]
+
+
+def test_two_stage_data_is_built_in_linear_time():
+    # every lower part is checked against one set of the upper labels
+    with time_guard(4):
+        upper = FibrationData({f"D{i}": [(1, 2)] for i in range(20000)})
+        ts = TwoStageData(upper, {f"F{i}": [(1, f"D{i}")] for i in range(20000)})
+    assert len(ts.lower) == 20000
 
 
 def test_curve_orbifold_default_marks_are_empty():
