@@ -18,32 +18,40 @@ leaves no state on it: every call gets a fresh namespace, no option has a
 mutable default, ``prog`` is fixed and the help width is read when help is
 formatted.  Handlers are bound to their subcommands at that one build, so
 replacing a ``cmd_*`` function after the first call has no effect.
+
+Start-up is most of a command's wall time, so a command imports only what it
+runs: each handler imports the domain module it calls, ``specparse`` is
+imported only by a command that reads a spec file, and ``json`` only under
+--json.  The module itself loads no more than ``argparse`` and the value
+types of ``orbcore`` and ``curveclass`` that rendering needs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import curveclass, curverestrict, fibration, mordell, planepairs, symdiff
+from . import curveclass
 from .curveclass import Kappa
 from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
-from .specparse import ParseResult, SpecDocument, parse
+
+if TYPE_CHECKING:
+    from .specparse import ParseResult, SpecDocument
 
 Result = tuple[dict, dict, list]
 
 
 def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
+    from .specparse import parse
     if not file:
         raise DomainError("this command needs a spec file; pass -f/--file")
     path = Path(file)
     try:
-        source = path.read_text(encoding="utf-8")
+        source = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
     return path, parse(source)
@@ -68,12 +76,14 @@ def cmd_classify(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def cmd_fano(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import planepairs
     pair = _named(doc, "plane", args.name).pair
     shown = {"degree": planepairs.anticanonical_degree(pair), "fano": planepairs.is_fano(pair)}
     return shown, {"name": args.name}, []
 
 
 def cmd_familydim(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import planepairs
     report = planepairs.family_dim_report(_named(doc, "plane", args.name).pair, args.degree)
     shown = {
         "parameters": report.parameters,
@@ -86,17 +96,20 @@ def cmd_familydim(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def cmd_base(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import fibration
     base = fibration.orbifold_base(_named(doc, "fibration", args.name), args.mode)
     return {"mode": args.mode, "base": base}, {"name": args.name}, []
 
 
 def cmd_compose(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import fibration
     direct, staged = fibration.compose_base(_named(doc, "twostage", args.name).data)
     shown = {"direct": direct, "staged": staged, "equal": direct == staged}
     return shown, {"name": args.name}, []
 
 
 def cmd_morphism(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import fibration
     report = fibration.check_orbifold_morphism(_named(doc, "morphism", args.name), args.mode)
     lines = [
         "pair " + _line({"y": c.y_label, "x": c.x_label, "t": c.t,
@@ -112,6 +125,7 @@ def cmd_morphism(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def _restriction(args: argparse.Namespace, doc: SpecDocument) -> curveclass.CurveOrbifold:
+    from . import curverestrict
     curve = _named(doc, "paramcurve", args.name)
     arrangement = _named(doc, "plane", args.against).divisor_components()
     return curverestrict.restrict(curve, arrangement, args.variant)
@@ -136,6 +150,7 @@ def cmd_rational(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def cmd_mordell_search(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import mordell
     triple = _named(doc, "mordell", args.name)
     points = [
         {"a": pt.a, "b": pt.b, "c": abs(pt.a - pt.b) if args.sign == "minus" else pt.a + pt.b}
@@ -149,6 +164,7 @@ def cmd_mordell_search(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def cmd_mordell_classical(args: argparse.Namespace, doc: SpecDocument) -> Result:
+    from . import mordell
     triple = _named(doc, "mordell", args.name)
     witnesses = [
         {"alpha": w.alpha, "beta": w.beta, "gamma": w.gamma}
@@ -162,6 +178,7 @@ def cmd_mordell_classical(args: argparse.Namespace, doc: SpecDocument) -> Result
 
 
 def cmd_pfull(args: argparse.Namespace, doc: None) -> Result:
+    from . import mordell
     report = mordell.density_report(args.limit, args.p) if args.density else None
     values = report.values if report else mordell.enumerate_p_full(args.limit, args.p)
     shown: dict = {"count": len(values)}
@@ -183,6 +200,7 @@ def _natural(text: str, message: str) -> int:
 
 
 def cmd_symdiff_check(args: argparse.Namespace, doc: None) -> Result:
+    from . import symdiff
     mults = [
         _natural(part, f"multiplicities must be comma-separated integers, got {part!r}")
         for part in map(str.strip, args.mults.split(","))
@@ -300,6 +318,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
         payload = {"command": args.command, **shown, **extra}
         print(json.dumps(payload, sort_keys=True, default=_json_value))
     else:

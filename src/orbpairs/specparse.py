@@ -24,11 +24,9 @@ import re
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import add
-from typing import Callable, Collection, Iterable, NamedTuple
+from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
-from .fibration import FibrationData, MorphismData, MorphismPair, TwoStageData
-from .mordell import OrbifoldP1Triple
 from .orbcore import (
     MAX_COEFF_DIGITS,
     DomainError,
@@ -38,6 +36,13 @@ from .orbcore import (
 )
 from .planepairs import PlaneArrangementPair
 from .polynomials import HomogeneousPoly2, HomogeneousPoly3
+
+# The models of fibration, twostage, morphism and mordell declarations are
+# imported by their build steps, so a spec without such a declaration never
+# loads fibration or mordell.  Forms are the parser's own types and stay above.
+if TYPE_CHECKING:
+    from .fibration import FibrationData, MorphismData, TwoStageData
+    from .mordell import OrbifoldP1Triple
 
 # Parenthesised polynomial sub-expressions nest at most this deep; each level
 # costs a few Python frames, so deeper input is reported as a parse error
@@ -601,7 +606,12 @@ class _Parser:
             fibers[label] = parts
 
         self._statements({"over": over}, many=("over",))
-        return lambda: FibrationData(fibers)
+
+        def build() -> FibrationData:
+            from .fibration import FibrationData
+            return FibrationData(fibers)
+
+        return build
 
     def _parse_twostage(self, name: Token) -> None:
         lower: dict[str, list[tuple[int, str]]] = {}
@@ -636,6 +646,7 @@ class _Parser:
         upper_name = once["upper"]
 
         def build() -> TwoStageDecl:
+            from .fibration import TwoStageData
             fibration = self.document.fibrations.get(upper_name)
             if fibration is None:
                 raise DomainError(f"unknown upper fibration {upper_name!r}")
@@ -668,11 +679,16 @@ class _Parser:
         divisors = self._statements(
             {"pair": pair, "dX": divisor, "dY": divisor}, what="block", many=("pair",)
         )
-        return lambda: MorphismData(
-            tuple(MorphismPair(*pair) for pair in pairs),
-            OrbifoldDivisor(divisors.get("dX", {})),
-            OrbifoldDivisor(divisors.get("dY", {})),
-        )
+
+        def build() -> MorphismData:
+            from .fibration import MorphismData, MorphismPair
+            return MorphismData(
+                tuple(MorphismPair(*pair) for pair in pairs),
+                OrbifoldDivisor(divisors.get("dX", {})),
+                OrbifoldDivisor(divisors.get("dY", {})),
+            )
+
+        return build
 
     def _parse_paramcurve(self, name: Token):
         def coordinate(_: Token) -> HomogeneousPoly2 | None:
@@ -699,6 +715,7 @@ class _Parser:
         )
 
         def build() -> OrbifoldP1Triple:
+            from .mordell import OrbifoldP1Triple
             _require(values, ("p", "q", "r"), f"mordell {name.text!r}")
             return OrbifoldP1Triple(values["p"], values["q"], values["r"])
 

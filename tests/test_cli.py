@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -100,10 +103,6 @@ class TestJsonStability:
     def test_byte_stable_across_hash_seeds(self):
         # map-iteration nondeterminism would show up across processes with
         # different hash randomization
-        import os
-        import subprocess
-        import sys
-
         argv = [
             sys.executable, "-m", "orbpairs.cli",
             "-f", spec("line_arrangements.orb"),
@@ -143,6 +142,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {src}: ")
         assert "can't decode byte 0xff" in err
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, capsys):
+        source = "mordell m { p 2; q 3; r 7; }\n"
+        plain, marked = tmp_path / "plain.orb", tmp_path / "marked.orb"
+        plain.write_bytes(source.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + source.encode())
+        outputs = []
+        for path in (plain, marked):
+            assert main(["-f", str(path), "mordell-classical", "m", "--max", "5"]) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[1] == outputs[0]
+        assert outputs[0].err == ""
 
     def test_missing_file_flag(self, capsys):
         code = main(["classify", "c"])
@@ -344,6 +355,38 @@ class TestExitCodes:
             "error: enumeration for N = 4..1000000000000004 over 1-subsets of 1..2 "
             "takes more than 41000000 steps\n"
         )
+
+
+class TestStartUp:
+    """A command imports only the modules it runs, because start-up is most of
+    a command's wall time.  Each case runs in a fresh interpreter and reports
+    the orbpairs modules loaded once main has returned."""
+
+    PROBE = (
+        "import sys\n"
+        "from orbpairs.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('orbpairs.')), file=sys.stderr)\n"
+        "sys.exit(code)\n"
+    )
+
+    @pytest.mark.parametrize("name,loaded,absent", [
+        ("pfull100", {"mordell"}, {"specparse", "polynomials"}),
+        ("symdiff_2_1_22", {"symdiff"}, {"specparse", "polynomials"}),
+        ("node234_restrict", {"specparse", "curverestrict"}, {"fibration", "mordell", "symdiff"}),
+        ("pencil12_inf", {"specparse", "fibration"}, {"mordell", "symdiff"}),
+    ])
+    def test_command_loads_only_its_modules(self, name, loaded, absent):
+        argv = dict(CORPUS)[name]
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+        modules = {m.removeprefix("orbpairs.") for m in result.stderr.split()}
+        assert loaded <= modules
+        assert absent.isdisjoint(modules)
 
 
 class TestParserReuse:
