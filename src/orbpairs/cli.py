@@ -46,7 +46,6 @@ Result = tuple[dict, dict, list]
 
 
 def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
-    from .specparse import parse
     if not file:
         raise DomainError("this command needs a spec file; pass -f/--file")
     path = Path(file)
@@ -54,6 +53,7 @@ def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
         source = path.read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}")
+    from .specparse import parse
     return path, parse(source)
 
 

@@ -370,6 +370,16 @@ class TestStartUp:
         "sys.exit(code)\n"
     )
 
+    def run(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        result = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True, env=env
+        )
+        modules = {
+            m.removeprefix("orbpairs.") for m in result.stderr.split() if m.startswith("orbpairs.")
+        }
+        return result, modules
+
     @pytest.mark.parametrize("name,loaded,absent", [
         ("pfull100", {"mordell"}, {"specparse", "polynomials"}),
         ("symdiff_2_1_22", {"symdiff"}, {"specparse", "polynomials"}),
@@ -377,16 +387,17 @@ class TestStartUp:
         ("pencil12_inf", {"specparse", "fibration"}, {"mordell", "symdiff"}),
     ])
     def test_command_loads_only_its_modules(self, name, loaded, absent):
-        argv = dict(CORPUS)[name]
-        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-        result = subprocess.run(
-            [sys.executable, "-c", self.PROBE, *argv], capture_output=True, text=True, env=env
-        )
+        result, modules = self.run(dict(CORPUS)[name])
         assert result.returncode == 0, result.stderr
         assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-        modules = {m.removeprefix("orbpairs.") for m in result.stderr.split()}
         assert loaded <= modules
         assert absent.isdisjoint(modules)
+
+    def test_missing_file_flag_loads_no_parser(self):
+        result, modules = self.run(["classify", "c"])
+        assert result.returncode == 1
+        assert "needs a spec file" in result.stderr
+        assert "specparse" not in modules
 
 
 class TestParserReuse:
