@@ -10,7 +10,8 @@ Every command is one row of COMMANDS.  Its handler only computes and returns
 (shown, extra, lines): ``shown`` fields form the text line and also go into
 the JSON, ``extra`` fields go into the JSON only (overriding a shown field of
 the same name), and ``lines`` are further text lines.  ``main`` renders both
-forms from that one result.
+forms from that one result, and reports a result whose numbers are too long
+to print as an error.
 
 ``main`` builds the argument parser on its first call and reuses it for the
 rest of the process; building it costs more than most commands.  Parsing
@@ -33,16 +34,16 @@ import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from . import curveclass
 from .curveclass import Kappa
-from .orbcore import DomainError, Multiplicity, OrbifoldDivisor
+from .orbcore import TOO_LONG_RESULT, DomainError, Multiplicity, OrbifoldDivisor
 
 if TYPE_CHECKING:
     from .specparse import ParseResult, SpecDocument
 
-Result = tuple[dict, dict, list]
+Result = tuple[dict, dict, Iterable[str]]
 
 
 def _parse_spec(file: str | None) -> tuple[Path, ParseResult]:
@@ -111,11 +112,12 @@ def cmd_compose(args: argparse.Namespace, doc: SpecDocument) -> Result:
 def cmd_morphism(args: argparse.Namespace, doc: SpecDocument) -> Result:
     from . import fibration
     report = fibration.check_orbifold_morphism(_named(doc, "morphism", args.name), args.mode)
-    lines = [
+    # rendered only with the text output, where main checks number lengths
+    lines = (
         "pair " + _line({"y": c.y_label, "x": c.x_label, "t": c.t,
                          "scaled": c.scaled, "required": c.m_y, "ok": c.ok})
         for c in report.checks
-    ]
+    )
     pairs = [
         {"y": c.y_label, "x": c.x_label, "t": c.t,
          "m_x": c.m_x, "m_y": c.m_y, "scaled": c.scaled, "ok": c.ok}
@@ -317,12 +319,17 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (DomainError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        import json
-        payload = {"command": args.command, **shown, **extra}
-        print(json.dumps(payload, sort_keys=True, default=_json_value))
-    else:
-        print("\n".join([_line(shown), *lines]))
+    try:
+        if args.json:
+            import json
+            payload = {"command": args.command, **shown, **extra}
+            out = json.dumps(payload, sort_keys=True, default=_json_value)
+        else:
+            out = "\n".join([_line(shown), *lines])
+    except ValueError:  # the interpreter's limit on converting an int to a string
+        print(f"error: {TOO_LONG_RESULT}", file=sys.stderr)
+        return 1
+    print(out)
     return 0
 
 

@@ -17,12 +17,14 @@ from functools import total_ordering
 from typing import Iterable, Mapping, Union
 
 
-# The most digits the interpreter converts to a string by default.  The parser
-# caps every coefficient it builds below this, and a computed result that
-# would be printed is checked against it, so no number the program accepts
-# or reports breaks rendering.
+# The most digits the interpreter converts to a string by default.  The spec
+# parser caps every coefficient it builds below this, curverestrict refuses a
+# contact point whose label would pass it, family_dim_report a note that
+# would, and the CLI refuses any result that passes it when it renders the
+# output.
 MAX_COEFF_DIGITS = 4300
 _COEFF_BOUND = 10**MAX_COEFF_DIGITS
+TOO_LONG_RESULT = f"a result has a number of more than {MAX_COEFF_DIGITS} digits"
 
 
 def too_long_to_print(q: Fraction) -> bool:

@@ -11,7 +11,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .orbcore import DomainError, Multiplicity, SelfCheckError, as_multiplicity
+from .orbcore import (
+    TOO_LONG_RESULT,
+    DomainError,
+    Multiplicity,
+    SelfCheckError,
+    as_multiplicity,
+    too_long_to_print,
+)
 
 
 @dataclass(frozen=True)
@@ -127,6 +134,8 @@ def family_dim_report(pair: PlaneArrangementPair, degree: int) -> FamilyDimRepor
         raise SelfCheckError(f"family dimension {dimension} != degree * anticanonical - 1 = {rhs}")
     note = None
     if sorted(mults) == [3, 3, 5, 7] and degree % 105 == 0:
+        if too_long_to_print(parameters):  # the largest figure of the note
+            raise DomainError(TOO_LONG_RESULT)
         n = degree // 105
         note = (
             f"dimension = N-1 = {dimension} for N = {n} (degree = 105*N); the quoted "

@@ -483,7 +483,6 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
         lc = remaining[-1]
         root_bound = 1 + -(-max(abs(c) for c in remaining[:-1]) // lc)
         trailing = lc * remaining[0]
-        found = False
         for subset in combinations(active, size):
             degree = sum(degrees[i] for i in subset)
             if degree > half:
@@ -502,16 +501,13 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
             for i in subset:
                 prod = _trim(_mul(prod, lifted[i]), pk)
             candidate = _primitive([_symmetric(c, pk) for c in prod])
-            if len(candidate) < 2:
-                continue
             quo = _divide(remaining, candidate)
             if quo is not None:
                 result.append(candidate)
                 remaining = quo
                 active = [i for i in active if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             size += 1
     if len(remaining) >= 2:
         result.append(remaining)

@@ -12,8 +12,8 @@ Parsing is recursive descent with precise source spans.  Errors are
 collected as diagnostics and never abort the parse: a bad statement skips to
 the next semicolon or past the next balanced brace block, a structurally
 broken declaration skips to the next top-level keyword.  Every declaration
-goes through one pipeline: the header, a kind-specific body reader, then one
-build-and-file step that reports domain errors at the declaration name.
+goes through one pipeline: the header, then a kind-specific reader that
+returns the value or refuses it at the name, then one step that files it.
 Cross-references (the ``upper`` fibration of a twostage) resolve after the
 whole document is read.
 """
@@ -38,7 +38,7 @@ from .planepairs import PlaneArrangementPair
 from .polynomials import HomogeneousPoly2, HomogeneousPoly3
 
 # The models of fibration, twostage, morphism and mordell declarations are
-# imported by their build steps, so a spec without such a declaration never
+# imported by their readers, so a spec without such a declaration never
 # loads fibration or mordell.  Forms are the parser's own types and stay above.
 if TYPE_CHECKING:
     from .fibration import FibrationData, MorphismData, TwoStageData
@@ -180,9 +180,6 @@ class SpecDocument:
     morphisms: dict[str, MorphismData] = field(default_factory=dict)
     paramcurves: dict[str, ParamPlaneCurve] = field(default_factory=dict)
     mordells: dict[str, OrbifoldP1Triple] = field(default_factory=dict)
-
-    def kinds_of(self, name: str) -> list[str]:
-        return [kind[:-1] for kind, table in vars(self).items() if name in table]
 
 
 # the declaration kinds, in document order: each has a table named <kind>s
@@ -452,9 +449,11 @@ class _Parser:
 
     def parse_document(self) -> None:
         """Read ``<kind> <name> { ... }`` declarations.  ``_parse_<kind>``
-        reads the body and returns the build step that ``_declare`` runs; a
-        twostage queues its build instead, declared once every upper
-        fibration is known."""
+        reads the body and returns the value or refuses it at the name; a
+        twostage queues its build instead, run once every upper fibration is
+        known.  A reader raises _Abort while it reads and DomainError only
+        after the closing brace, so a refused declaration leaves nothing to
+        skip."""
         while (kw := self.tokens[self.pos]).kind != "EOF":
             self.pos += 1
             if kw.kind != "IDENT" or kw.text not in _DECL_KEYWORDS:
@@ -464,28 +463,27 @@ class _Parser:
             try:
                 name = self.expect("IDENT", what="declaration name")
                 self.expect("LBRACE")
-                build = getattr(self, f"_parse_{kw.text}")(name)
+                value = getattr(self, f"_parse_{kw.text}")(name)
+                if value is not None:
+                    self._declare(kw.text, name, value)
             except _Abort as abort:
                 self.report(abort.diagnostic)
                 self.skip_declaration()
-                continue
-            if build is not None:
-                self._declare(kw.text, name, build)
+            except DomainError as exc:
+                self.report(_diag(name, str(exc)))
         for name, build in self.twostages:
-            self._declare("twostage", name, build)
+            try:
+                self._declare("twostage", name, build())
+            except DomainError as exc:
+                self.report(_diag(name, str(exc)))
 
-    def _declare(self, kind: str, name: Token, build: Callable[[], object]) -> None:
-        """File ``build()`` under the declared name; a DomainError from the
-        build and a name declared before are reported at the name."""
-        try:
-            value = build()
-        except DomainError as exc:
-            self.report(_diag(name, str(exc)))
-            return
-        if self.document.kinds_of(name.text):
+    def _declare(self, kind: str, name: Token, value: object) -> None:
+        """File ``value`` under the declared name, unless a declaration of
+        any kind holds that name already."""
+        if any(name.text in table for table in vars(self.document).values()):
             self.report(_diag(name, f"duplicate declaration name {name.text!r}"))
-            return
-        getattr(self.document, kind + "s")[name.text] = value
+        else:
+            getattr(self.document, kind + "s")[name.text] = value
 
     def _statement_loop(self, handler) -> None:
         """Run per-statement handlers until the closing brace; the rest of a
@@ -528,7 +526,7 @@ class _Parser:
         self.expect("SEMI")
         return value
 
-    def _parse_curve(self, name: Token):
+    def _parse_curve(self, name: Token) -> CurveOrbifold:
         points: dict[str, Multiplicity] = {}
 
         def point(tok: Token) -> None:
@@ -541,15 +539,11 @@ class _Parser:
             {"genus": lambda _: self.ended(self.parse_int("genus")), "point": point},
             many=("point",),
         )
+        if "genus" not in once:
+            raise DomainError(f"curve {name.text!r} has no genus")
+        return CurveOrbifold(once["genus"], OrbifoldDivisor(points))
 
-        def build() -> CurveOrbifold:
-            if "genus" not in once:
-                raise DomainError(f"curve {name.text!r} has no genus")
-            return CurveOrbifold(once["genus"], OrbifoldDivisor(points))
-
-        return build
-
-    def _parse_plane(self, name: Token):
+    def _parse_plane(self, name: Token) -> PlaneDecl:
         components: dict[str, tuple[str, int, Multiplicity]] = {}
         forms: dict[str, HomogeneousPoly3] = {}
 
@@ -576,15 +570,11 @@ class _Parser:
                 forms[label] = form
 
         self._statements({"component": component}, many=("component",))
+        pair = PlaneArrangementPair(tuple(components.values()))
+        kept = {c.label for c in pair.components}
+        return PlaneDecl(pair, {lbl: f for lbl, f in forms.items() if lbl in kept})
 
-        def build() -> PlaneDecl:
-            pair = PlaneArrangementPair(tuple(components.values()))
-            kept = {c.label for c in pair.components}
-            return PlaneDecl(pair, {lbl: f for lbl, f in forms.items() if lbl in kept})
-
-        return build
-
-    def _parse_fibration(self, name: Token):
+    def _parse_fibration(self, name: Token) -> FibrationData:
         fibers: dict[str, list[tuple[int, Multiplicity]]] = {}
 
         def over(tok: Token) -> None:
@@ -606,12 +596,8 @@ class _Parser:
             fibers[label] = parts
 
         self._statements({"over": over}, many=("over",))
-
-        def build() -> FibrationData:
-            from .fibration import FibrationData
-            return FibrationData(fibers)
-
-        return build
+        from .fibration import FibrationData
+        return FibrationData(fibers)
 
     def _parse_twostage(self, name: Token) -> None:
         lower: dict[str, list[tuple[int, str]]] = {}
@@ -641,8 +627,7 @@ class _Parser:
 
         once = self._statements({"lower": lower_block, "upper": upper}, many=("lower",))
         if "upper" not in once:
-            self.report(_diag(name, f"twostage {name.text!r} has no upper fibration"))
-            return
+            raise DomainError(f"twostage {name.text!r} has no upper fibration")
         upper_name = once["upper"]
 
         def build() -> TwoStageDecl:
@@ -654,7 +639,7 @@ class _Parser:
 
         self.twostages.append((name, build))  # the upper fibration may come later
 
-    def _parse_morphism(self, name: Token):
+    def _parse_morphism(self, name: Token) -> MorphismData:
         pairs: list[tuple[str, str, int]] = []
 
         def pair(_: Token) -> None:
@@ -679,47 +664,35 @@ class _Parser:
         divisors = self._statements(
             {"pair": pair, "dX": divisor, "dY": divisor}, what="block", many=("pair",)
         )
+        from .fibration import MorphismData, MorphismPair
+        return MorphismData(
+            tuple(MorphismPair(*pair) for pair in pairs),
+            OrbifoldDivisor(divisors.get("dX", {})),
+            OrbifoldDivisor(divisors.get("dY", {})),
+        )
 
-        def build() -> MorphismData:
-            from .fibration import MorphismData, MorphismPair
-            return MorphismData(
-                tuple(MorphismPair(*pair) for pair in pairs),
-                OrbifoldDivisor(divisors.get("dX", {})),
-                OrbifoldDivisor(divisors.get("dY", {})),
-            )
-
-        return build
-
-    def _parse_paramcurve(self, name: Token):
+    def _parse_paramcurve(self, name: Token) -> ParamPlaneCurve:
         def coordinate(_: Token) -> HomogeneousPoly2 | None:
             self.expect("EQUALS")
             return self.ended(self.homogeneous(("s", "u")))
 
         coords = self._statements(dict.fromkeys(_PLANE_VARIABLES, coordinate), "coordinate")
+        _require(coords, _PLANE_VARIABLES, f"paramcurve {name.text!r}")
+        degrees = {f.degree for f in coords.values() if f is not None}
+        if not degrees:
+            raise DomainError(f"paramcurve {name.text!r} is identically zero")
+        # a zero coordinate takes the top degree; ParamPlaneCurve rejects
+        # coordinates of differing degrees
+        d = max(degrees)
+        return ParamPlaneCurve(*(coords[c] or HomogeneousPoly2.zero(d) for c in _PLANE_VARIABLES))
 
-        def build() -> ParamPlaneCurve:
-            _require(coords, _PLANE_VARIABLES, f"paramcurve {name.text!r}")
-            degrees = {f.degree for f in coords.values() if f is not None}
-            if not degrees:
-                raise DomainError(f"paramcurve {name.text!r} is identically zero")
-            # a zero coordinate takes the top degree; ParamPlaneCurve
-            # rejects coordinates of differing degrees
-            d = max(degrees)
-            return ParamPlaneCurve(*(coords[c] or HomogeneousPoly2.zero(d) for c in _PLANE_VARIABLES))
-
-        return build
-
-    def _parse_mordell(self, name: Token):
+    def _parse_mordell(self, name: Token) -> OrbifoldP1Triple:
         values = self._statements(
             dict.fromkeys(("p", "q", "r"), lambda tok: self.ended(self.parse_int(tok.text)))
         )
-
-        def build() -> OrbifoldP1Triple:
-            from .mordell import OrbifoldP1Triple
-            _require(values, ("p", "q", "r"), f"mordell {name.text!r}")
-            return OrbifoldP1Triple(values["p"], values["q"], values["r"])
-
-        return build
+        from .mordell import OrbifoldP1Triple
+        _require(values, ("p", "q", "r"), f"mordell {name.text!r}")
+        return OrbifoldP1Triple(values["p"], values["q"], values["r"])
 
 
 def _degree(terms: dict[tuple[int, ...], int | Fraction]) -> int:

@@ -246,6 +246,34 @@ class TestExitCodes:
             "of 4300 digits, so it cannot be labeled\n"
         )
 
+    @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+    @pytest.mark.parametrize(
+        "source,argv",
+        [
+            ("curve c { genus 0; point P mult {A}; point Q mult {B}; }", ["classify", "c"]),
+            ("plane f { component A degree 1 mult {A} form x0; component B degree 1 mult {B} form x1; }",
+             ["fano", "f"]),
+            ("fibration g { over D { part t {A} mult {B}; } }", ["base", "g"]),
+            ("morphism m { pair E D t {A}; dX { D mult {B}; } dY { E mult 2; } }",
+             ["morphism", "m"]),
+            (None, ["familydim", "fano3357", "--degree", str(945 * 10**4297)]),
+        ],
+        ids=["degree", "fano", "base", "morphism", "familydim"],
+    )
+    def test_unprintable_result_is_domain_error(self, tmp_path, capsys, source, argv, json_flag):
+        # each result has a number of 4301 to 8401 digits computed from
+        # literals of 4201; rendering it used to end in a ValueError traceback
+        if source is None:
+            path = spec("fano_pairs.orb")
+        else:
+            path = tmp_path / "big.orb"
+            path.write_text(source.replace("{A}", str(10**4200 + 1)).replace("{B}", str(10**4200 + 3)))
+        code = main(["-f", str(path), *argv, *json_flag])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "error: a result has a number of more than 4300 digits\n"
+
     def test_overlong_mults_are_domain_error(self, capsys):
         code = main(["symdiff-check", "--p", "2", "--q", "1", "--mults", "2," + "1" * 5000])
         assert code == 1

@@ -210,6 +210,30 @@ class TestDiagnostics:
         ]
 
     @pytest.mark.parametrize(
+        "source,message",
+        [
+            ("curve a { point P mult 2; }", "1:7: error: curve 'a' has no genus"),
+            ("fibration a { over D { part t 0 mult 2; } }",
+             "1:11: error: fiber coefficient must be a positive integer, got 0"),
+            ("morphism a { pair E D t 0; }",
+             "1:10: error: pullback coefficient must be a positive integer, got 0"),
+            ("paramcurve a { x0 = s^2; x1 = s*u; x2 = s*u; }",
+             "1:12: error: parametrization has the common factor s; remove base points"),
+            ("mordell a { p 1; q 3; r 7; }", "1:9: error: p must be an integer >= 2, got 1"),
+            ("twostage a { lower F { s 1 -> D; } }",
+             "1:10: error: twostage 'a' has no upper fibration"),
+            ("twostage a { lower F { s 1 -> D; } upper = nope; }",
+             "1:10: error: unknown upper fibration 'nope'"),
+        ],
+        ids=["curve", "fibration", "morphism", "paramcurve", "mordell", "no-upper", "unknown-upper"],
+    )
+    def test_refused_declaration_keeps_the_next(self, source, message):
+        result = parse(source + "\ncurve z { genus 1; }")
+        assert [str(d) for d in result.diagnostics] == [message]
+        assert result.document.curves["z"] == CurveOrbifold(1, OrbifoldDivisor({}))
+        assert not any("a" in table for table in vars(result.document).values())
+
+    @pytest.mark.parametrize(
         "source,col",
         [
             ("curve c {{ genus {}; }}", 17),
