@@ -4,7 +4,8 @@ Declarations are read from a spec file given with -f/--file; standalone
 commands (pfull, symdiff-check) need no file.  Every subcommand accepts
 --json for a stable machine-readable schema in which exact rationals are
 strings "a/b".  Exit codes: 0 success, 1 domain errors (unknown names,
-precondition violations) and internal arithmetic failures, 2 parse errors.
+precondition violations) and internal arithmetic failures, 2 parse errors
+and a command line that argparse rejects.
 
 Every command is one row of COMMANDS.  Its handler only computes and returns
 (shown, extra, lines): ``shown`` fields form the text line and also go into

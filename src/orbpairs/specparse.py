@@ -9,9 +9,10 @@ use integer or rational coefficients, the variables of their context
 ``+ - * ^`` with parentheses.
 
 Parsing is recursive descent with precise source spans.  Errors are
-collected as diagnostics and never abort the parse: a bad statement skips to
-the next semicolon or past the next balanced brace block, a structurally
-broken declaration skips to the next top-level keyword.  Every declaration
+collected as diagnostics and never abort the parse.  A declaration starts
+where the tokens read ``<kind> <name> {``: a body ends there, a bad statement
+skips to its semicolon or past its brace block but never past there, and a
+broken declaration skips to the next declaration keyword.  Every declaration
 goes through one pipeline: the header, then a kind-specific reader that
 returns the value or refuses it at the name, then one step that files it.
 Cross-references (the ``upper`` fibration of a twostage) resolve after the
@@ -267,13 +268,21 @@ class _Parser:
         if not self.diagnostics or self.diagnostics[-1] != diagnostic:
             self.diagnostics.append(diagnostic)
 
-    # -- recovery
+    # -- recovery: every body and every skip stops where a declaration starts
+
+    def at_declaration(self) -> bool:
+        """Whether the next tokens read ``<kind> <name> {``, which no legal
+        body holds: a dX/dY mark spelled like a kind has no ``{`` third."""
+        tok = self.tokens[self.pos]
+        return tok.kind == "IDENT" and tok.text in _DECL_KEYWORDS and (
+            self.tokens[self.pos + 1].kind == "IDENT" and self.tokens[self.pos + 2].kind == "LBRACE"
+        )
 
     def skip_statement(self) -> None:
         """Advance past the next semicolon or balanced brace block, stopping
-        at an unmatched closing brace or EOF."""
+        at an unmatched closing brace, the start of a declaration or EOF."""
         depth = 0
-        while (kind := self.tokens[self.pos].kind) != "EOF":
+        while (kind := self.tokens[self.pos].kind) != "EOF" and not self.at_declaration():
             if kind == "RBRACE" and depth == 0:
                 return
             self.pos += 1
@@ -287,16 +296,11 @@ class _Parser:
                 return
 
     def skip_declaration(self) -> None:
-        """Advance to the next top-level declaration keyword."""
-        depth = 0
-        while (tok := self.tokens[self.pos]).kind != "EOF":
-            if depth == 0 and tok.kind == "IDENT" and tok.text in _DECL_KEYWORDS:
-                return
-            self.pos += 1
-            if tok.kind == "LBRACE":
-                depth += 1
-            elif tok.kind == "RBRACE":
-                depth = max(0, depth - 1)
+        """Skip unmatched closing braces and whole statements up to the
+        next declaration keyword."""
+        while (tok := self.tokens[self.pos]).kind != "EOF" and tok.text not in _DECL_KEYWORDS:
+            if not self.accept("RBRACE"):
+                self.skip_statement()
 
     # -- literals
 
@@ -462,7 +466,6 @@ class _Parser:
                 continue
             try:
                 name = self.expect("IDENT", what="declaration name")
-                self.expect("LBRACE")
                 value = getattr(self, f"_parse_{kw.text}")(name)
                 if value is not None:
                     self._declare(kw.text, name, value)
@@ -486,11 +489,13 @@ class _Parser:
             getattr(self.document, kind + "s")[name.text] = value
 
     def _statement_loop(self, handler) -> None:
-        """Run per-statement handlers until the closing brace; the rest of a
-        bad statement is skipped so it does not lose the declaration.  A
+        """Read ``{``, then run per-statement handlers up to the closing
+        ``}``, which must come before the start of a declaration.  The rest
+        of a bad statement is skipped so it does not lose the declaration; a
         statement that failed after reading its closing ``;`` or ``}`` has no
         rest to skip."""
-        while self.tokens[self.pos].kind not in ("RBRACE", "EOF"):
+        self.expect("LBRACE")
+        while self.tokens[self.pos].kind not in ("RBRACE", "EOF") and not self.at_declaration():
             start = self.pos
             try:
                 handler()
@@ -503,7 +508,7 @@ class _Parser:
     def _statements(
         self, readers: dict[str, Callable[[Token], object]], what: str = "field", many: tuple = ()
     ) -> dict:
-        """Read statements up to the closing brace, each a keyword of
+        """Read a ``{ ... }`` body of statements, each a keyword of
         ``readers`` whose reader consumes the rest of it, its ``;`` or block
         included.  A keyword not in ``many`` may appear once: its reader's
         value is filed only when the statement is whole, and a repeat is a
@@ -580,17 +585,15 @@ class _Parser:
         def over(tok: Token) -> None:
             label = self.expect("IDENT", what="base divisor label").text
             _fresh(fibers, tok, label, "base divisor")
-            self.expect("LBRACE")
             parts: list[tuple[int, Multiplicity]] = []
 
-            def part_stmt() -> None:
-                self.expect("IDENT", "part")
+            def part(_: Token) -> None:
                 self.expect("IDENT", "t")
                 t = self.parse_int("coefficient t")
                 self.expect("IDENT", "mult")
                 parts.append((t, self.ended(self.parse_multiplicity())))
 
-            self._statement_loop(part_stmt)
+            self._statements({"part": part}, many=("part",))
             if not parts:
                 raise self.error(tok, f"base divisor {label!r} has no fiber components")
             fibers[label] = parts
@@ -605,16 +608,14 @@ class _Parser:
         def lower_block(tok: Token) -> None:
             z_label = self.expect("IDENT", what="Z-divisor label").text
             _fresh(lower, tok, z_label, "Z-divisor")
-            self.expect("LBRACE")
             parts: list[tuple[int, str]] = []
 
-            def lower_stmt() -> None:
-                self.expect("IDENT", "s")
+            def lower_part(_: Token) -> None:
                 s = self.parse_int("coefficient s")
                 self.expect("ARROW")
                 parts.append((s, self.ended(self.expect("IDENT", what="Y-divisor label").text)))
 
-            self._statement_loop(lower_stmt)
+            self._statements({"s": lower_part}, many=("s",))
             if not parts:
                 raise self.error(tok, f"Z-divisor {z_label!r} has no components")
             lower[z_label] = parts
@@ -649,7 +650,6 @@ class _Parser:
             pairs.append((y_label, x_label, self.ended(self.parse_int("coefficient t"))))
 
         def divisor(tok: Token) -> dict[str, Multiplicity]:
-            self.expect("LBRACE")
             marks: dict[str, Multiplicity] = {}
 
             def mark() -> None:

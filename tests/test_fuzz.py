@@ -44,6 +44,7 @@ DECLARATION = st.builds(
 
 @given(st.one_of(soup(WORDS), DECLARATION, st.lists(DECLARATION, max_size=4).map("\n".join), st.text()))
 @settings(max_examples=400, deadline=None)
+@example("curve c { genus 0; point P mult 2;\ncurve d { genus 1; point Q mult 0; }")
 def test_parse_always_returns(source):
     with time_guard(2):
         result = parse(source)

@@ -234,6 +234,47 @@ class TestDiagnostics:
         assert not any("a" in table for table in vars(result.document).values())
 
     @pytest.mark.parametrize(
+        "source,filed",
+        [
+            ("curve c { genus 0; point P mult 2;\ncurve d { genus 1; point Q mult 0; }",
+             {"curves": ["d"]}),
+            ("plane f { component L degree 1 mult 2 form x0;\nmordell m { p 2; q 3; r 7; }\n"
+             "curve d { genus 1; }", {"curves": ["d"], "mordells": ["m"]}),
+            ("fibration g { over D { part t 1 mult 2;\ncurve c { genus 0; }", {"curves": ["c"]}),
+            ("twostage ts { lower F { s 1 -> D;\nfibration g { over D { part t 1 mult 2; } }",
+             {"fibrations": ["g"]}),
+            ("morphism m { dX { D mult 2;\ncurve c { genus 0; }", {"curves": ["c"]}),
+            ("curve c { genus x\ncurve d { genus 1; }", {"curves": ["d"]}),
+            ("curve c { genus 0; pint { P mult 2;\ncurve d { genus 1; }", {"curves": ["d"]}),
+        ],
+        ids=["curve", "plane", "over", "lower", "marks", "statement", "skipped-block"],
+    )
+    def test_missing_brace_keeps_the_next_declaration(self, source, filed):
+        # the body left open ends where the next declaration starts, on line
+        # 2, and only the declarations from there on are filed
+        result = parse(source)
+        kind = source.split("\n")[1].split()[0]
+        assert f"2:1: error: expected rbrace, found {kind!r}" in map(str, result.diagnostics)
+        document = {kind: list(table) for kind, table in vars(result.document).items() if table}
+        assert document == filed
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "morphism m { dX { curve mult 2; } dY { mordell mult 3; } }",
+            "curve curve { genus 0; point point mult 2; }",
+        ],
+    )
+    def test_identifiers_spelled_like_kinds(self, source):
+        # a declaration starts at <kind> <name> {, which no legal body holds
+        first = parse(source)
+        assert first.ok, first.diagnostics
+        printed = format_document(first.document)
+        second = parse(printed)
+        assert second.ok and second.document == first.document
+        assert format_document(second.document) == printed
+
+    @pytest.mark.parametrize(
         "source,col",
         [
             ("curve c {{ genus {}; }}", 17),
