@@ -25,7 +25,9 @@ Start-up is most of a command's wall time, so a command imports only what it
 runs: each handler imports the domain module it calls, ``specparse`` is
 imported only by a command that reads a spec file, and ``json`` only under
 --json.  The module itself loads no more than ``argparse`` and the value
-types of ``orbcore`` and ``curveclass`` that rendering needs.
+types of ``orbcore`` and ``curveclass`` that rendering needs.  Value types are
+built by ``_value``, so no command loads ``dataclasses`` or the ``inspect``,
+``ast`` and ``dis`` modules that it imports.
 """
 
 from __future__ import annotations

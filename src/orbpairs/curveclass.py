@@ -9,10 +9,10 @@ specialness, and orbifold rationality.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from ._value import dataclass
 from .orbcore import (
     DomainError,
     Multiplicity,

@@ -16,10 +16,10 @@ Any contact with an infinite-multiplicity component forces an infinite mark.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Sequence
 
+from ._value import dataclass
 from .curveclass import CurveOrbifold, Kappa, kappa_curve
 from .orbcore import (
     INFINITY,

@@ -10,9 +10,9 @@ for finite integral values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Literal, Mapping
 
+from ._value import dataclass
 from .orbcore import (
     DomainError,
     Multiplicity,

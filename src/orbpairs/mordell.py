@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 
+from ._value import dataclass
 from .curveclass import CurveOrbifold, Kappa, kappa_curve
 from .orbcore import MAX_STEPS, DomainError, require_steps
 
@@ -138,13 +138,6 @@ def enumerate_p_full(limit: int, p: int) -> list[int]:
 
     extend(0, 1)
     return sorted(out)
-
-
-def enumerate_p_full_by_filter(limit: int, p: int) -> list[int]:
-    """Brute-force cross-check: filter 1..limit through is_p_full."""
-    if limit < 1:
-        raise DomainError(f"limit must be >= 1, got {limit}")
-    return [n for n in range(1, limit + 1) if is_p_full(n, p)]
 
 
 @dataclass(frozen=True)

@@ -11,10 +11,11 @@ because all downstream decisions branch on exact signs and divisibility.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import total_ordering
 from typing import Iterable, Mapping, Union
+
+from ._value import dataclass
 
 
 # The most digits the interpreter converts to a string by default.  The spec

@@ -8,9 +8,9 @@ degree of the pair against the line class is 3 - sum d_j (1 - 1/m_j).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import dataclass
 from .orbcore import (
     TOO_LONG_RESULT,
     DomainError,

@@ -32,11 +32,11 @@ import operator
 import random
 import struct
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from ._value import dataclass
 from .orbcore import DomainError, SelfCheckError
 
 QPoly = tuple[Fraction, ...]
@@ -298,15 +298,6 @@ def _residues(m: GFPoly, p: int) -> _Residues:
         if bound < 1 << 8 * struct.calcsize(code):
             return _PackedResidues(m, p, code)
     return _Residues(m, p)
-
-
-def gf_pow_mod(base: GFPoly, e: int, mod: GFPoly, p: int) -> GFPoly:
-    """base^e reduced modulo (mod, p)."""
-    mod = _trim(mod, p)
-    if len(mod) <= 1:
-        return gf_divmod(base, mod, p)[1]
-    ring = _residues(mod, p)
-    return ring.unpack(ring.pow(ring.pack(base), e))
 
 
 def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:

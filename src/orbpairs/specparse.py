@@ -22,10 +22,10 @@ whole document is read.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from operator import add
 from typing import TYPE_CHECKING, Callable, Collection, Iterable, NamedTuple
+from ._value import dataclass, field, fields
 from .curveclass import CurveOrbifold
 from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
 from .orbcore import (

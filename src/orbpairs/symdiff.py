@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from operator import add
 from typing import Iterable, Sequence
 
+from ._value import dataclass
 from .orbcore import (
     MAX_STEPS,
     DomainError,
@@ -126,14 +126,6 @@ def positive_floor_threshold(p: int, q: int, mults: Sequence[Multiplicity]) -> i
     if c == 0:
         raise DomainError("positive-floor threshold needs all multiplicities > 1")
     return math.ceil(Fraction(p) / (q * c))
-
-
-def multi_indices(p: int, q: int, n: int) -> Iterable[MultiIndexJ]:
-    """All multisets of n q-subsets of {1..p}."""
-    if n < 0:
-        raise DomainError(f"need n >= 0, got {n}")
-    for subsets in combinations_with_replacement(combinations(range(1, p + 1), q), n):
-        yield MultiIndexJ(p, q, subsets)
 
 
 def _steps(p: int, q: int, n_values: Iterable[int]) -> int:
@@ -331,16 +323,3 @@ def _compositions(total: int, parts: int) -> Iterable[tuple[int, ...]]:
         for tail in _compositions(total - head, parts - 1):
             yield (head,) + tail
 
-
-def check_floor_ceiling_identity(k_max: int = 200, m_max: int = 50) -> int:
-    """Exhaustively check floor(k(1-1/m)) = k - ceil(k/m) for integral m.
-
-    Returns the number of (k, m) pairs checked; raises on any failure."""
-    checked = 0
-    for m in range(1, m_max + 1):
-        mult = Multiplicity(m)
-        for k in range(k_max + 1):
-            if floor_coefficient_multiple(k, mult) != k - ceil_quotient(k, mult):
-                raise SelfCheckError(f"floor/ceil identity failed at k={k}, m={m}")
-            checked += 1
-    return checked

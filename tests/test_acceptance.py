@@ -36,7 +36,6 @@ from orbpairs.mordell import (
     RationalPoint,
     density_report,
     enumerate_p_full,
-    enumerate_p_full_by_filter,
     merge_point_lists,
     search_classical,
     search_points,
@@ -52,12 +51,12 @@ from orbpairs.planepairs import (
 from orbpairs.polynomials import HomogeneousPoly2, HomogeneousPoly3
 from orbpairs.specparse import format_document, parse
 from orbpairs.symdiff import (
-    check_floor_ceiling_identity,
     check_positive_floor,
     check_relative_exponent_bounds,
 )
 from orbpairs.cli import main as cli_main
 
+from cross_checks import check_floor_ceiling_identity, enumerate_p_full_by_filter
 from test_cli import CORPUS, GOLDEN, spec
 
 

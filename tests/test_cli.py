@@ -388,13 +388,17 @@ class TestExitCodes:
 class TestStartUp:
     """A command imports only the modules it runs, because start-up is most of
     a command's wall time.  Each case runs in a fresh interpreter and reports
-    the orbpairs modules loaded once main has returned."""
+    the orbpairs modules, and which of UNUSED, loaded once main has returned."""
 
+    # dataclasses loads the other three; the value types need none of them
+    UNUSED = ("dataclasses", "inspect", "ast", "dis")
     PROBE = (
         "import sys\n"
         "from orbpairs.cli import main\n"
         "code = main(sys.argv[1:])\n"
-        "print(*sorted(m for m in sys.modules if m.startswith('orbpairs.')), file=sys.stderr)\n"
+        f"unused = {UNUSED!r}\n"
+        "print(*sorted(m for m in sys.modules if m.startswith('orbpairs.') or m in unused),"
+        " file=sys.stderr)\n"
         "sys.exit(code)\n"
     )
 
@@ -420,6 +424,7 @@ class TestStartUp:
         assert result.stdout == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
         assert loaded <= modules
         assert absent.isdisjoint(modules)
+        assert set(self.UNUSED).isdisjoint(result.stderr.split())
 
     def test_missing_file_flag_loads_no_parser(self):
         result, modules = self.run(["classify", "c"])

@@ -9,7 +9,6 @@ from orbpairs.mordell import (
     RationalPoint,
     density_report,
     enumerate_p_full,
-    enumerate_p_full_by_filter,
     factorize,
     integer_nth_root,
     is_general_type_triple,
@@ -20,6 +19,7 @@ from orbpairs.mordell import (
     search_points,
 )
 from orbpairs.orbcore import DomainError
+from cross_checks import enumerate_p_full_by_filter
 from timeguard import time_guard
 
 

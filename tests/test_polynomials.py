@@ -26,13 +26,13 @@ from orbpairs.polynomials import (
     gf_divmod,
     gf_gcd,
     gf_inverse_mod,
-    gf_pow_mod,
     poly2_gcd,
     qdeg,
     render_poly2,
     render_poly3,
     squarefree_decomposition,
 )
+from cross_checks import gf_pow_mod
 from text_layer_reference import render_poly2 as reference_render_poly2
 from text_layer_reference import render_poly3 as reference_render_poly3
 from timeguard import time_guard

@@ -16,16 +16,15 @@ from orbpairs.orbcore import INFINITY, MAX_STEPS, DomainError, Multiplicity, Sel
 from orbpairs.symdiff import (
     MultiIndexJ,
     ceil_quotient,
-    check_floor_ceiling_identity,
     check_positive_floor,
     check_relative_exponent_bounds,
     floor_coefficient_multiple,
     generator_exponents,
-    multi_indices,
     occupancy,
     positive_floor_threshold,
     relative_exponent,
 )
+from cross_checks import check_floor_ceiling_identity, multi_indices
 from timeguard import time_guard
 
 
