@@ -30,7 +30,7 @@ from .orbcore import (
     mult_lcm,
     too_long_to_print,
 )
-from .polynomials import HomogeneousPoly2, HomogeneousPoly3, poly2_gcd
+from .polynomials import HomogeneousPoly2, HomogeneousPoly3, poly2_gcd, poly2_gcd_parts
 
 RestrictVariant = Literal["Z", "Q"]
 
@@ -54,12 +54,13 @@ class ParamPlaneCurve:
         nonzero = [c for c in coords if not c.is_zero]
         if not nonzero:
             raise DomainError("parametrization is identically zero")
-        # a lone nonzero coordinate is its own common factor, shown as given
+        # base-point free: the nonzero coordinates share no power of s or u
+        # and their integer cores are coprime.  The common factor is built
+        # only to be shown; a lone nonzero coordinate is shown as given.
+        if len(nonzero) > 1 and poly2_gcd_parts(nonzero) == (0, 0, (1,)):
+            return
         common = nonzero[0] if len(nonzero) == 1 else poly2_gcd(*nonzero)
-        if common.degree > 0:
-            raise DomainError(
-                f"parametrization has the common factor {common}; remove base points"
-            )
+        raise DomainError(f"parametrization has the common factor {common}; remove base points")
 
     @property
     def degree(self) -> int:

@@ -21,8 +21,8 @@ factors of half the degree, and recombination over subsets of at most half
 the degree.  A subset must pass a constant-term divisibility test and a
 root bound on its next-to-top coefficient, both read from the lifted
 factors, before its product is built and confirmed by exact integer trial
-division.  Every factorization is verified by multiplying back before it is
-returned.
+division.  A linear polynomial is its own factor; every other factorization
+is verified by multiplying back before it is returned.
 """
 
 from __future__ import annotations
@@ -509,13 +509,15 @@ def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
     """Factor a nonzero univariate polynomial over Q.
 
     Returns (content, factors) with primitive integer irreducible factors of
-    positive leading coefficient and their exponents, verified by expanding
-    the product back."""
+    positive leading coefficient and their exponents; past degree 1 they are
+    verified by expanding the product back."""
     if not f:
         raise DomainError("cannot factor the zero polynomial")
     if qdeg(f) == 0:
         return f[0], []
     content, prim = content_primitive(f)
+    if len(prim) == 2:  # a linear polynomial is its own irreducible factor
+        return content, [(prim, 1)]
     factors = [
         (irr, mult) for part, mult in squarefree_decomposition(prim) for irr in _zassenhaus(part)
     ]
@@ -599,18 +601,26 @@ def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
     return nonzero[0], form.degree - nonzero[-1], form.coeffs[nonzero[0] : nonzero[-1] + 1]
 
 
-def poly2_gcd(*forms: HomogeneousPoly2) -> HomogeneousPoly2:
-    """gcd of nonzero homogeneous forms, in canonical form: the least powers
-    of s and of u times the gcd of the forms' integer cores."""
-    if any(f.is_zero for f in forms):
-        raise DomainError("gcd with the zero form")
+def poly2_gcd_parts(forms: Sequence[HomogeneousPoly2]) -> tuple[int, int, IPoly]:
+    """(s-valuation, u-valuation, integer core) of the gcd of nonzero forms:
+    the least powers of s and of u, and the primitive gcd of the forms'
+    integer cores, which is (1,) once they are coprime."""
     svals, uvals, cores = zip(*map(_split, forms))
     core: IPoly = ()
     for fcore in sorted(cores, key=len):  # shortest first: a monomial ends it at once
         core = _gcd(core, content_primitive(fcore)[1]) if len(fcore) > 1 else (1,)
         if len(core) == 1:
             break
-    coeffs = (0,) * min(svals) + core + (0,) * min(uvals)
+    return min(svals), min(uvals), core
+
+
+def poly2_gcd(*forms: HomogeneousPoly2) -> HomogeneousPoly2:
+    """gcd of nonzero homogeneous forms, in canonical form: the least powers
+    of s and of u times the gcd of the forms' integer cores."""
+    if any(f.is_zero for f in forms):
+        raise DomainError("gcd with the zero form")
+    sval, uval, core = poly2_gcd_parts(forms)
+    coeffs = (0,) * sval + core + (0,) * uval
     return HomogeneousPoly2(len(coeffs) - 1, coeffs)
 
 

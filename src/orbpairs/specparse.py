@@ -46,8 +46,8 @@ if TYPE_CHECKING:
     from .mordell import OrbifoldP1Triple
 
 # Parenthesised polynomial sub-expressions nest at most this deep; each level
-# costs a few Python frames, so deeper input is reported as a parse error
-# instead of exhausting the interpreter's recursion limit.
+# costs a Python frame, so deeper input is reported as a parse error instead
+# of exhausting the interpreter's recursion limit.
 _MAX_PAREN_DEPTH = 100
 
 # Exponents and the degree of every product and power are capped here, and
@@ -228,6 +228,7 @@ class _Parser:
         self.pos = 0
         self.diagnostics = diagnostics
         self.document = SpecDocument()
+        self.declared: set[str] = set()  # the names in every table of the document
         self.twostages: list[tuple[Token, Callable[[], TwoStageDecl]]] = []
         self.paren_depth = 0
 
@@ -340,44 +341,69 @@ class _Parser:
         Coefficients are ``int`` unless an ``a/b`` literal made them
         ``Fraction``."""
         self.paren_depth = 0  # an aborted expression may have left it raised
-        terms = self._poly_expr(variables)
+        terms = self._poly_sum(variables)
         return {e: c for e, c in terms.items() if c}
 
-    def _poly_expr(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        terms = self._poly_term(variables)
-        while (op := self.tokens[self.pos]).kind in ("PLUS", "MINUS"):
+    def _poly_sum(self, variables) -> dict[tuple[int, ...], int | Fraction]:
+        """A sum of terms, a term a product of factors, a factor ``-``* atom
+        [``^`` n]: one loop per level, and only a parenthesised atom
+        recurses.  ``-`` binds looser than ``^``, so ``-s^2`` is -(s^2)."""
+        tokens = self.tokens
+        terms = sign = None  # the sum so far, and the + or - before the next term
+        while True:
+            product = star = None  # the product so far, and the * before the next factor
+            while True:
+                negate = False
+                while (tok := tokens[self.pos]).kind == "MINUS":
+                    self.pos += 1
+                    negate = not negate
+                if tok.kind == "NUMBER":
+                    factor = {(0,) * len(variables): self.parse_rational("number")}
+                elif tok.kind == "IDENT" and tok.text in variables:
+                    self.pos += 1
+                    expo = [0] * len(variables)
+                    expo[variables.index(tok.text)] = 1
+                    factor = {tuple(expo): 1}
+                elif tok.kind == "LPAREN":
+                    if self.paren_depth == _MAX_PAREN_DEPTH:
+                        limit = f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels"
+                        raise self.error(tok, limit)
+                    self.pos += 1
+                    self.paren_depth += 1
+                    factor = self._poly_sum(variables)
+                    self.paren_depth -= 1
+                    self.expect("RPAREN")
+                else:
+                    raise self.error(
+                        tok, f"expected a polynomial in {', '.join(variables)}, found {tok.text!r}"
+                    )
+                if (caret := tokens[self.pos]).kind == "CARET":
+                    self.pos += 1
+                    factor = self._power(caret, factor, self.parse_int("exponent"), len(variables))
+                if negate:
+                    factor = {e: -c for e, c in factor.items()}
+                if star is None:
+                    product = factor
+                else:
+                    self._check_degree(star, _degree(product) + _degree(factor))
+                    product = self._product(star, product, factor)
+                if (star := tokens[self.pos]).kind != "STAR":
+                    break
+                self.pos += 1
+            if sign is None:
+                terms = product
+            else:
+                scale = 1 if sign.kind == "PLUS" else -1
+                for e, c in product.items():
+                    terms[e] = terms.get(e, 0) + scale * c
+                self._check_coefficients(sign, (terms[e] for e in product))
+            if (sign := tokens[self.pos]).kind not in ("PLUS", "MINUS"):
+                return terms
             self.pos += 1
-            rhs = self._poly_term(variables)
-            sign = 1 if op.kind == "PLUS" else -1
-            for e, c in rhs.items():
-                terms[e] = terms.get(e, 0) + sign * c
-            self._check_coefficients(op, (terms[e] for e in rhs))
-        return terms
 
-    def _poly_term(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        result = self._poly_unary(variables)
-        while (op := self.tokens[self.pos]).kind == "STAR":
-            self.pos += 1
-            rhs = self._poly_unary(variables)
-            self._check_degree(op, _degree(result) + _degree(rhs))
-            result = self._product(op, result, rhs)
-        return result
-
-    def _poly_unary(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        negate = False
-        while self.tokens[self.pos].kind == "MINUS":
-            self.pos += 1
-            negate = not negate
-        inner = self._poly_power(variables)
-        return {e: -c for e, c in inner.items()} if negate else inner
-
-    def _poly_power(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        base = self._poly_atom(variables)
-        op = self.tokens[self.pos]
-        if op.kind != "CARET":
-            return base
-        self.pos += 1
-        expo = self.parse_int("exponent")
+    def _power(self, op: Token, base, expo: int, nvars: int) -> dict[tuple[int, ...], int | Fraction]:
+        """``base`` in ``nvars`` variables to the power ``expo``, read after
+        ``op``."""
         if expo > _MAX_DEGREE:
             raise self.error(op, f"exponent exceeds the limit of {_MAX_DEGREE}")
         self._check_degree(op, _degree(base) * expo)
@@ -390,7 +416,7 @@ class _Parser:
             expo >>= 1
             if expo:
                 base = self._product(op, base, base)
-        return {(0,) * len(variables): 1} if result is None else result
+        return {(0,) * nvars: 1} if result is None else result
 
     def _product(self, op: Token, a, b) -> dict[tuple[int, ...], int | Fraction]:
         product = _poly_mul(a, b)
@@ -407,29 +433,6 @@ class _Parser:
         # parser accepts can be printed
         if any(map(too_long_to_print, coeffs)):
             raise self.error(op, f"coefficient exceeds the limit of {MAX_COEFF_DIGITS} digits")
-
-    def _poly_atom(self, variables) -> dict[tuple[int, ...], int | Fraction]:
-        tok = self.tokens[self.pos]
-        if tok.kind == "NUMBER":
-            return {(0,) * len(variables): self.parse_rational("number")}
-        if tok.kind == "IDENT" and tok.text in variables:
-            self.pos += 1
-            expo = [0] * len(variables)
-            expo[variables.index(tok.text)] = 1
-            return {tuple(expo): 1}
-        if tok.kind == "LPAREN":
-            if self.paren_depth == _MAX_PAREN_DEPTH:
-                raise self.error(tok, f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels")
-            self.pos += 1
-            self.paren_depth += 1
-            inner = self._poly_expr(variables)
-            self.paren_depth -= 1
-            self.expect("RPAREN")
-            return inner
-        raise self.error(
-            tok,
-            f"expected a polynomial in {', '.join(variables)}, found {tok.text!r}",
-        )
 
     def homogeneous(self, variables: tuple[str, ...]):
         """Parse a homogeneous polynomial: a HomogeneousPoly3 in the plane
@@ -483,9 +486,10 @@ class _Parser:
     def _declare(self, kind: str, name: Token, value: object) -> None:
         """File ``value`` under the declared name, unless a declaration of
         any kind holds that name already."""
-        if any(name.text in table for table in vars(self.document).values()):
+        if name.text in self.declared:
             self.report(_diag(name, f"duplicate declaration name {name.text!r}"))
         else:
+            self.declared.add(name.text)
             getattr(self.document, kind + "s")[name.text] = value
 
     def _statement_loop(self, handler) -> None:

@@ -4,12 +4,21 @@ term by term, and ``^`` is square and multiply from the constant 1.
 
 ``OracleParser`` is the spec parser with only its polynomial methods
 replaced, so parsing a document through it gives the documents and the
-diagnostics that the former evaluator gave.
+diagnostics that the former evaluator gave.  Its expression reader is the
+former one too: one method per precedence level, sum, term, unary minus,
+power and atom, each calling the next.
 """
 
 from fractions import Fraction
 
-from orbpairs.specparse import _MAX_DEGREE, ParseResult, _Abort, _Parser, tokenize
+from orbpairs.specparse import (
+    _MAX_DEGREE,
+    _MAX_PAREN_DEPTH,
+    ParseResult,
+    _Abort,
+    _Parser,
+    tokenize,
+)
 
 
 def _degree(terms):
@@ -51,6 +60,14 @@ class OracleParser(_Parser):
             result = self._product(op, result, rhs)
         return result
 
+    def _poly_unary(self, variables):
+        negate = False
+        while self.tokens[self.pos].kind == "MINUS":
+            self.pos += 1
+            negate = not negate
+        inner = self._poly_power(variables)
+        return {e: -c for e, c in inner.items()} if negate else inner
+
     def _poly_power(self, variables):
         base = self._poly_atom(variables)
         op = self.tokens[self.pos]
@@ -81,7 +98,19 @@ class OracleParser(_Parser):
         if tok.kind == "IDENT" and tok.text in variables:
             self.pos += 1
             return {tuple(1 if v == tok.text else 0 for v in variables): Fraction(1)}
-        return super()._poly_atom(variables)
+        if tok.kind == "LPAREN":
+            if self.paren_depth == _MAX_PAREN_DEPTH:
+                raise self.error(tok, f"parentheses nested deeper than {_MAX_PAREN_DEPTH} levels")
+            self.pos += 1
+            self.paren_depth += 1
+            inner = self._poly_expr(variables)
+            self.paren_depth -= 1
+            self.expect("RPAREN")
+            return inner
+        raise self.error(
+            tok,
+            f"expected a polynomial in {', '.join(variables)}, found {tok.text!r}",
+        )
 
 
 def oracle_parse(source: str) -> ParseResult:

@@ -417,6 +417,15 @@ class TestStartUp:
         ("symdiff_2_1_22", {"symdiff"}, {"specparse", "polynomials"}),
         ("node234_restrict", {"specparse", "curverestrict"}, {"fibration", "mordell", "symdiff"}),
         ("pencil12_inf", {"specparse", "fibration"}, {"mordell", "symdiff"}),
+        # one golden command for each of the other eight commands
+        ("base6_classify", {"specparse", "curveclass"}, {"mordell", "symdiff"}),
+        ("fano3357", {"specparse", "planepairs"}, {"fibration", "mordell", "symdiff"}),
+        ("familydim3357_105", {"specparse", "planepairs"}, {"fibration", "mordell", "symdiff"}),
+        ("chain_compose", {"specparse", "fibration"}, {"mordell", "symdiff"}),
+        ("doublecover_inf", {"specparse", "fibration"}, {"mordell", "symdiff"}),
+        ("highnode_rational", {"specparse", "curverestrict"}, {"fibration", "mordell", "symdiff"}),
+        ("gt237_search", {"specparse", "mordell"}, {"fibration", "symdiff"}),
+        ("classical323", {"specparse", "mordell"}, {"fibration", "symdiff"}),
     ])
     def test_command_loads_only_its_modules(self, name, loaded, absent):
         result, modules = self.run(dict(CORPUS)[name])

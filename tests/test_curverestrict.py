@@ -12,7 +12,7 @@ from math import lcm
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from base_point_reference import check_parametrization
+from base_point_reference import check_one_gcd, check_parametrization
 from orbpairs.curveclass import canonical_degree
 from orbpairs.curverestrict import (
     ParamPlaneCurve,
@@ -106,6 +106,73 @@ class TestBasePointOracle:
         assert outcome == check_outcome(check_parametrization, coords)
         if planted is not None and not all(c.is_zero for c in coords):
             assert outcome.startswith("parametrization has the common factor")
+
+
+# shared factors: linear, pure powers of s and u, an irreducible quadratic
+# and a quadratic with rational coefficients
+SHARED = (
+    S, U, PLANTED[2], S.mul(S), U.mul(U), U.mul(S),
+    HomogeneousPoly2(2, (Fraction(1), Fraction(0), Fraction(1))),  # s^2 + u^2
+    HomogeneousPoly2(2, (Fraction(-2, 3), Fraction(1, 2), Fraction(5))),
+)
+
+
+@st.composite
+def coordinate_triples(draw):
+    """Three coordinates, each zero, a rational multiple of a pure power of
+    s or of u, or a form with small rational coefficients; times a shared
+    factor when one is drawn; and now and then one coordinate's degree
+    raised by a factor s or u."""
+    shared = draw(st.sampled_from(SHARED)) if draw(st.booleans()) else None
+    low = 0 if shared is None else shared.degree
+    degree = draw(st.integers(max(1, low), 4))
+    free = degree - low
+    coefficients = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    coords = []
+    for _ in range(3):
+        kind = draw(st.sampled_from(("zero", "s", "u", "form", "form")))
+        if kind == "zero":
+            coords.append(HomogeneousPoly2.zero(degree))
+            continue
+        if kind == "form":
+            coeffs = draw(st.lists(coefficients, min_size=free + 1, max_size=free + 1))
+        else:
+            c = draw(coefficients.filter(bool))
+            coeffs = [Fraction(0)] * free + [c] if kind == "s" else [c] + [Fraction(0)] * free
+        form = HomogeneousPoly2(free, tuple(coeffs))
+        coords.append(form if shared is None else shared.mul(form))
+    if draw(st.integers(0, 9)) == 9:
+        odd = draw(st.integers(0, 2))
+        coords[odd] = coords[odd].mul(draw(st.sampled_from((S, U))))
+    return coords
+
+
+class TestIntegerBasePointDecision:
+    """ParamPlaneCurve decides base points on integer valuations and cores;
+    the former check built the gcd form of all nonzero coordinates.  Both
+    accept the same triples and refuse the others with the same text."""
+
+    @given(coordinate_triples())
+    @settings(max_examples=400, deadline=None)
+    @example([S.mul(S).mul(S), S.mul(U).mul(S), S.mul(S).mul(PLANTED[2])])  # s^2 shared
+    @example([U.mul(U), HomogeneousPoly2.zero(2), U.mul(S)])  # u shared
+    @example([SHARED[6], SHARED[6], SHARED[6]])  # one quadratic, shown as primitive
+    @example([SHARED[7].mul(S), SHARED[7].mul(U), HomogeneousPoly2.zero(3)])
+    @example([S.mul(S), U.mul(U), HomogeneousPoly2.zero(2)])  # coprime pure powers
+    @example([HomogeneousPoly2.zero(2), SHARED[7], HomogeneousPoly2.zero(2)])  # lone, as given
+    @example([S, U, S.mul(U)])  # differing degrees
+    def test_matches_one_gcd(self, coords):
+        assert check_outcome(ParamPlaneCurve, coords) == check_outcome(check_one_gcd, coords)
+
+    def test_refusal_texts(self):
+        quadratic, zero3 = SHARED[7], HomogeneousPoly2.zero(3)
+        # the gcd is shown primitive; a lone coordinate is shown as given
+        assert check_outcome(ParamPlaneCurve, [quadratic.mul(S), quadratic.mul(U), zero3]) == (
+            "parametrization has the common factor 30*s^2+3*s*u-4*u^2; remove base points"
+        )
+        assert check_outcome(ParamPlaneCurve, [zero3, quadratic.mul(U), zero3]) == (
+            "parametrization has the common factor 5*s^2*u+1/2*s*u^2-2/3*u^3; remove base points"
+        )
 
 
 class TestPullback:

@@ -436,6 +436,41 @@ class TestPolynomialOracle:
         assert got.document == expected.document
 
 
+class TestPrecedence:
+    """Edge cases of the expression grammar, each read alone and as a
+    coordinate: ``-`` binds looser than ``^``, a unary ``-`` may follow
+    ``-`` or ``*``, ``^`` does not chain, and the exponent and nesting
+    limits are reported at the same token."""
+
+    NESTED_101 = "(" * 101 + "s" + ")" * 101
+
+    @pytest.mark.parametrize("expr,terms,diagnostics", [
+        ("-s^2", {(2, 0): -1}, []),
+        ("--s", {(1, 0): 1}, ["1:12: error: coordinate degrees differ: [1, 2]"]),
+        ("2*-s", {(1, 0): -2}, ["1:12: error: coordinate degrees differ: [1, 2]"]),
+        ("(-s)^2", {(2, 0): 1}, []),
+        ("s^2^3", {(2, 0): 1},
+         ["1:24: error: expected semi, found '^'", "1:12: error: paramcurve 'c' is missing x0"]),
+        ("s^1001", "1:2: error: exponent exceeds the limit of 1000",
+         ["1:22: error: exponent exceeds the limit of 1000",
+          "1:12: error: paramcurve 'c' is missing x0"]),
+        (NESTED_101, "1:101: error: parentheses nested deeper than 100 levels",
+         ["1:121: error: parentheses nested deeper than 100 levels",
+          "1:12: error: paramcurve 'c' is missing x0"]),
+        ("(" * 100 + "s" + ")" * 100, {(1, 0): 1},
+         ["1:12: error: coordinate degrees differ: [1, 2]"]),
+        ("2*-(u-s)^2*-1/2", {(0, 2): 1, (1, 1): -2, (2, 0): 1}, []),
+        ("s*u^999*s", "1:8: error: polynomial degree 1001 exceeds the limit of 1000",
+         ["1:28: error: polynomial degree 1001 exceeds the limit of 1000",
+          "1:12: error: paramcurve 'c' is missing x0"]),
+    ], ids=lambda v: v[:12] if isinstance(v, str) else None)
+    def test_terms_and_diagnostics(self, expr, terms, diagnostics):
+        assert poly_terms(_Parser, expr, ("s", "u")) == terms
+        assert poly_terms(OracleParser, expr, ("s", "u")) == terms
+        result = parse(f"paramcurve c {{ x0 = {expr}; x1 = u^2; x2 = s^2; }}")
+        assert [str(d) for d in result.diagnostics] == diagnostics
+
+
 class TestGoldenDiagnostics:
     def test_matches_golden(self):
         # tests/golden/diagnostics.json maps malformed specs to the exact

@@ -550,6 +550,63 @@ class TestFactorRational:
 INT_POLYS = st.lists(st.integers(-40, 40), max_size=6).map(_trim)
 
 
+class TestLinearFactors:
+    """A linear polynomial is its own irreducible factor: factor_rational
+    returns its content and primitive part without the squarefree and
+    modular stages, as the reference factorization does with them."""
+
+    @pytest.mark.parametrize("coeffs,content,primitive", [
+        ((-3, 2), Fraction(1), (-3, 2)),
+        ((4, -6), Fraction(-2), (-2, 3)),  # negative leading coefficient
+        ((Fraction(1, 2), Fraction(-2, 3)), Fraction(-1, 6), (-3, 4)),
+        ((0, 5), Fraction(5), (0, 1)),  # zero constant term
+        ((0, Fraction(-7, 4)), Fraction(-7, 4), (0, 1)),
+        ((Fraction(-9, 2), 3), Fraction(3, 2), (-3, 2)),
+    ])
+    def test_known_linear(self, coeffs, content, primitive):
+        poly = qpoly(coeffs)
+        assert factor_rational(poly) == (content, [(primitive, 1)])
+        assert factor_rational(poly) == factor_reference(poly)
+
+    @given(RATIONALS, RATIONALS.filter(bool))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_reference(self, constant, leading):
+        poly = (constant, leading)
+        assert factor_rational(poly) == factor_reference(poly)
+
+    def test_contact_orders_of_lines(self):
+        # lines against the four lines x0, x1, x2, x0+x1+x2: every pullback
+        # is a linear form or a multiple of s or u
+        from orbpairs.curverestrict import ParamPlaneCurve, PlaneDivisorComponent, contact_orders
+        from orbpairs.orbcore import Multiplicity
+
+        def form(*coeffs):
+            return HomogeneousPoly2(1, tuple(map(Fraction, coeffs)))
+
+        def line(label, terms):
+            return PlaneDivisorComponent(label, HomogeneousPoly3.from_dict(1, terms), Multiplicity(2))
+
+        arrangement = [
+            line("A", {(1, 0, 0): 1}), line("B", {(0, 1, 0): 1}), line("C", {(0, 0, 1): 1}),
+            line("D", {(1, 0, 0): 1, (0, 1, 0): 1, (0, 0, 1): 1}),
+        ]
+        cases = [
+            # highnode: (s+u : u-s : u)
+            (form(1, 1), form(1, -1), form(1, 0)),
+            [("s-u", (("B", 1),)), ("u", (("C", 1), ("D", 1))), ("s+u", (("A", 1),))],
+            # genericline: (u : s : s+u)
+            (form(1, 0), form(0, 1), form(1, 1)),
+            [("s", (("B", 1),)), ("u", (("A", 1),)), ("s+u", (("C", 1), ("D", 1)))],
+            # (1/2 s - u : -3u : s + 2/3 u)
+            (form(-1, Fraction(1, 2)), form(-3, 0), form(Fraction(2, 3), 1)),
+            [("9*s-20*u", (("D", 1),)), ("s-2*u", (("A", 1),)), ("u", (("B", 1),)),
+             ("3*s+2*u", (("C", 1),))],
+        ]
+        for coords, expected in zip(cases[::2], cases[1::2]):
+            records = contact_orders(ParamPlaneCurve(*coords), arrangement)
+            assert [(str(r.point), r.contacts) for r in records] == expected
+
+
 class TestGcd:
     @given(INT_POLYS, INT_POLYS, INT_POLYS)
     @settings(max_examples=200, deadline=None)
