@@ -30,9 +30,20 @@ from .orbcore import (
     mult_lcm,
     too_long_to_print,
 )
-from .polynomials import HomogeneousPoly2, HomogeneousPoly3, poly2_gcd, poly2_gcd_parts
+from .polynomials import (
+    HomogeneousPoly2,
+    HomogeneousPoly3,
+    coprime_basis,
+    factor_rational,
+    poly2_gcd,
+    poly2_gcd_parts,
+    squarefree_parts,
+)
 
 RestrictVariant = Literal["Z", "Q"]
+
+# the points s = 0 and u = 0
+_S, _U = HomogeneousPoly2.variable("s"), HomogeneousPoly2.variable("u")
 
 
 @dataclass(frozen=True)
@@ -118,18 +129,28 @@ def contact_orders(
 ) -> list[ContactRecord]:
     """Contact orders of the curve with every arrangement component.
 
-    Each pullback is factored into irreducibles over Q; records are grouped
+    The squarefree parts of all pullbacks are refined into one basis of
+    pairwise coprime pieces, each carrying the exponent every component
+    gives it, and each piece is factored over Q once; records are grouped
     by canonical factor, so a point lying on several components yields a
     single record listing all of them."""
     labels_seen: set[str] = set()
     by_point: dict[HomogeneousPoly2, dict[str, int]] = {}
+    tagged: list[tuple[tuple[int, ...], dict[str, int]]] = []
     for comp in arrangement:
         if comp.label in labels_seen:
             raise DomainError(f"duplicate component label {comp.label!r}")
         labels_seen.add(comp.label)
-        _, factors = pullback(curve, comp).factor()
-        for factor, exponent in factors:
-            by_point.setdefault(factor, {})[comp.label] = exponent
+        sval, uval, parts = squarefree_parts(pullback(curve, comp))
+        for point, exponent in ((_S, sval), (_U, uval)):
+            if exponent:
+                by_point.setdefault(point, {})[comp.label] = exponent
+        tagged += [(part, {comp.label: exponent}) for part, exponent in parts]
+    # a piece is squarefree, so each of its factors carries its exponents,
+    # and a linear piece is its own factor
+    for piece, contacts in coprime_basis(tagged):
+        for factor, _ in factor_rational(piece)[1] if len(piece) > 2 else [(piece, 1)]:
+            by_point[HomogeneousPoly2(len(factor) - 1, factor)] = contacts
     records = [
         ContactRecord(point, tuple(sorted(contacts.items())))
         for point, contacts in by_point.items()

@@ -9,11 +9,13 @@ parametrization runs over Z: the coordinates' denominators are cleared
 once, powers are built incrementally, and the terms are summed as integers
 over one common denominator.  Full factorization over Q is implemented here
 and runs on integers after the content is split off once at entry: Yun
-squarefree decomposition with heuristic gcds and exact integer division,
-factoring modulo the first odd prime that keeps the part squarefree (the
-search is open-ended: only the finitely many primes dividing lc *
-discriminant are unusable) by distinct-degree factorization and seeded
-Cantor-Zassenhaus equal-degree splitting, both raising to powers in
+squarefree decomposition with heuristic gcds and exact integer division
+(a part squarefree modulo 3, 5 or 7 needs none),
+factoring modulo the first odd prime that keeps the part squarefree (only
+the finitely many primes dividing lc * discriminant are unusable), or past
+20 modular factors there the one of the next four such primes with the
+fewest, by distinct-degree factorization and seeded Cantor-Zassenhaus
+equal-degree splitting, both raising to powers in
 GF(p)[x]/(m) on Kronecker-packed residues (one machine-integer slot per
 coefficient, so a product is one int multiply and a fold of the high slots),
 quadratic Hensel lifting on a factor tree past the Mignotte bound for
@@ -22,7 +24,10 @@ the degree.  A subset must pass a constant-term divisibility test and a
 root bound on its next-to-top coefficient, both read from the lifted
 factors, before its product is built and confirmed by exact integer trial
 division.  A linear polynomial is its own factor; every other factorization
-is verified by multiplying back before it is returned.
+is verified by multiplying back before it is returned.  Division modulo p
+or p^k is one loop, which the gcds, the residue rings and the Hensel steps
+run for the remainder alone.  The squarefree parts of several forms refine
+into one coprime basis, so a factor they share is factored once.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import random
 import struct
 import sys
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, islice
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._value import dataclass
@@ -164,6 +169,10 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
         raise DomainError("squarefree decomposition needs degree >= 1")
     out: list[tuple[IPoly, int]] = []
     b = content_primitive(f)[1]
+    # a factor repeated over Z stays repeated modulo a prime that keeps the
+    # degree, so b squarefree modulo one such prime is squarefree
+    if any(_squarefree_mod(b, p) for p in (3, 5, 7)):
+        return [(b, 1)]
     d = _deriv(b)
     i = 0
     # step 0 divides out gcd(f, f'); step i >= 1 splits off the part of
@@ -184,31 +193,53 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
 # arithmetic modulo a prime
 
 
-def gf_divmod(f: GFPoly, g: GFPoly, p: int) -> tuple[GFPoly, GFPoly]:
-    """Quotient and remainder modulo p; lc(g) must be a unit mod p, so p may
-    be a prime power when g is monic.  Entries are reduced only where read."""
+def gf_rem(f: GFPoly, g: GFPoly, p: int, quo: list[int] | None = None) -> GFPoly:
+    """Remainder of f by g modulo p, and the quotient's reduced coefficients
+    in `quo` if given len(f) - len(g) + 1 zeros there.  lc(g) must be a unit
+    mod p, so p may be a prime power when g is monic, which needs no
+    inverse.  Entries are reduced only where read."""
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
-    n = len(g)
-    quo = [0] * max(len(f) - n + 1, 0)
-    inv = pow(g[-1], -1, p)
-    for i in range(len(quo) - 1, -1, -1):
-        c = rem[i + n - 1] * inv % p
+    n = len(g) - 1
+    lead = g[-1] % p
+    inv = 1 if lead == 1 else pow(lead, -1, p)
+    for i in range(len(rem) - n - 1, -1, -1):
+        c = rem[i + n] * inv % p
         if c:
-            quo[i] = c
+            if quo is not None:
+                quo[i] = c
+            # rem[i + n] is now 0 mod p and is never read again
             rem[i : i + n] = [r - c * b for r, b in zip(rem[i : i + n], g)]
-    return _trim(quo, p), _trim(rem[: n - 1], p)
+    return _trim(rem[:n], p)
+
+
+def gf_divmod(f: GFPoly, g: GFPoly, p: int) -> tuple[GFPoly, GFPoly]:
+    """Quotient and remainder modulo p, under `gf_rem`'s conditions."""
+    quo = [0] * max(len(f) - len(g) + 1, 0)
+    rem = gf_rem(f, g, p, quo)
+    return _trim(quo), rem
 
 
 def gf_gcd(f: GFPoly, g: GFPoly, p: int) -> GFPoly:
     a, b = f, g
     while b:
-        a, b = b, gf_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = _trim([c * inv for c in a], p)
-    return a
+        a, b = b, gf_rem(a, b, p)
+    return _monic_mod(a, p) if a else a
+
+
+def _monic_mod(f: Sequence[int], p: int) -> GFPoly:
+    """f times the inverse of its leading coefficient, reduced mod p."""
+    inv = pow(f[-1], -1, p)
+    return _trim([c * inv for c in f], p)
+
+
+def _squarefree_mod(f: IPoly, p: int) -> bool:
+    """Whether f keeps its degree modulo p and is squarefree there."""
+    if not f[-1] % p:
+        return False
+    fp = _trim(f, p)
+    return len(gf_gcd(fp, _deriv(fp, p), p)) == 1
 
 
 class _Residues:
@@ -219,13 +250,13 @@ class _Residues:
         self.m, self.p = m, p
 
     def pack(self, f: GFPoly) -> GFPoly:
-        return gf_divmod(f, self.m, self.p)[1]
+        return gf_rem(f, self.m, self.p)
 
     def unpack(self, a: GFPoly) -> GFPoly:
         return a
 
     def mul(self, a: GFPoly, b: GFPoly) -> GFPoly:
-        return gf_divmod(_trim(_mul(a, b), self.p), self.m, self.p)[1]
+        return gf_rem(_mul(a, b), self.m, self.p)
 
     def pow(self, a, e: int):
         """a^e by left-to-right square-and-multiply."""
@@ -302,7 +333,7 @@ def _residues(m: GFPoly, p: int) -> _Residues:
 
 def gf_inverse_mod(a: GFPoly, mod: GFPoly, p: int) -> GFPoly:
     """Inverse of a modulo (mod, p) by the extended Euclidean algorithm."""
-    r0, r1 = mod, gf_divmod(a, mod, p)[1]
+    r0, r1 = mod, gf_rem(a, mod, p)
     t0: GFPoly = ()
     t1: GFPoly = (1,)
     while r1:
@@ -333,13 +364,11 @@ def _gf_equal_degree(g: GFPoly, d: int, p: int, rng: random.Random) -> list[GFPo
             return _gf_equal_degree(s, d, p, rng) + _gf_equal_degree(rest, d, p, rng)
 
 
-# keeps Berlekamp's name: perfbench/tracing.py wraps it by name for its metrics
-def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
-    """Monic irreducible factors, sorted, of a monic squarefree polynomial
-    modulo an odd prime p: distinct-degree factorization, then equal-degree
-    splitting with random elements drawn from a generator seeded by p."""
-    rng = random.Random(p)
-    factors: list[GFPoly] = []
+def _gf_distinct_degree(f: GFPoly, p: int) -> list[tuple[GFPoly, int]]:
+    """Distinct-degree factorization of a monic squarefree polynomial modulo
+    an odd prime p: pairs (g, d), d increasing, with g the product of the
+    monic irreducible factors of degree d, for every d that has one."""
+    out: list[tuple[GFPoly, int]] = []
     rest, x_pd, d, ring = f, (0, 1), 0, None
     # once every factor of degree <= d is out, a rest of degree below
     # 2(d + 1) is irreducible
@@ -357,11 +386,24 @@ def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
         x_pd = ring.unpack(h)
         g = gf_gcd(rest, _sub(x_pd, (0, 1), p), p)
         if len(g) > 1:
-            factors += _gf_equal_degree(g, d, p, rng)
+            out.append((g, d))
             rest = gf_divmod(rest, g, p)[0]
     if len(rest) > 1:
-        factors.append(rest)
-    return sorted(factors)
+        out.append((rest, len(rest) - 1))
+    return out
+
+
+# keeps Berlekamp's name: perfbench/tracing.py wraps it by name for its metrics
+def gf_berlekamp(f: GFPoly, p: int) -> list[GFPoly]:
+    """Monic irreducible factors, sorted, of a monic squarefree polynomial
+    modulo an odd prime p: distinct-degree factorization, then equal-degree
+    splitting with random elements drawn from a generator seeded by p."""
+    rng = random.Random(p)
+    return sorted(
+        factor
+        for g, d in _gf_distinct_degree(f, p)
+        for factor in _gf_equal_degree(g, d, p, rng)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +436,7 @@ def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[IPoly]
     so the result does not depend on the tree's shape."""
     pk = p**k
     if len(modular) == 1:
-        inv = pow(f[-1], -1, pk)
-        return [_trim([c * inv for c in f], pk)]
+        return [_monic_mod(f, pk)]
     prefix = list(accumulate(len(g) - 1 for g in modular))
     cut = min(range(1, len(modular)), key=lambda i: abs(2 * prefix[i - 1] - prefix[-1]))
     h: GFPoly = (1,)
@@ -411,9 +452,9 @@ def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[IPoly]
     # correction s * (f - g*h) mod h is s * (f mod h) mod h whatever the
     # precision of g, so no product g*h is formed, and one division by each
     # new h gives g at this precision and f mod h at the next.
-    e = gf_divmod(f, h, moduli[0])[1] if moduli else ()
+    e = gf_rem(f, h, moduli[0]) if moduli else ()
     for modulus, following in zip(moduli, moduli[1:] + [pk]):
-        delta = gf_divmod(_mul(s, e), h, modulus)[1]
+        delta = gf_rem(_mul(s, e), h, modulus)
         h = list(h)
         for i, c in enumerate(delta):
             h[i] = (h[i] + c) % modulus
@@ -421,8 +462,8 @@ def _hensel_lift(f: IPoly, modular: list[GFPoly], p: int, k: int) -> list[IPoly]
         if modulus < pk:
             # Newton step for the inverse: s * g = 1 + eps mod h gives
             # s * (2 - s * g) * g = 1 - eps^2
-            sg = gf_divmod(_mul(s, g), h, modulus)[1]
-            s = gf_divmod(_mul(s, _sub((2,), sg, modulus)), h, modulus)[1]
+            sg = gf_rem(_mul(s, g), h, modulus)
+            s = gf_rem(_mul(s, _sub((2,), sg, modulus)), h, modulus)
     return _hensel_lift(g, modular[:cut], p, k) + _hensel_lift(tuple(h), modular[cut:], p, k)
 
 
@@ -433,14 +474,20 @@ def _zassenhaus(f: IPoly) -> list[IPoly]:
     if n <= 1:
         return [f]
     lc = f[-1]
-    # ends: only the finitely many primes dividing lc * disc(f) are unusable
-    for p in _odd_primes():
-        if lc % p:
-            fp = _trim(f, p)
-            if len(gf_gcd(fp, _deriv(fp, p), p)) == 1:
-                break
-    inv_lc = pow(lc, -1, p)
-    modular = gf_berlekamp(_trim([c * inv_lc for c in f], p), p)
+    # endless: only the finitely many primes dividing lc * disc(f) are unusable
+    primes = (p for p in _odd_primes() if _squarefree_mod(f, p))
+    p = next(primes)
+    modular = gf_berlekamp(_monic_mod(f, p), p)
+    if len(modular) > 20:
+        # recombination grows with the number of modular factors, which
+        # varies with the prime: past 20, count them at the next 4 usable
+        # primes by distinct-degree factorization alone and take the fewest
+        count, q = min(
+            (sum((len(g) - 1) // d for g, d in _gf_distinct_degree(_monic_mod(f, q), q)), q)
+            for q in islice(primes, 4)
+        )
+        if count < len(modular):
+            p, modular = q, gf_berlekamp(_monic_mod(f, q), q)
     if len(modular) == 1:
         return [f]
 
@@ -571,25 +618,6 @@ class HomogeneousPoly2:
     def mul(self, other: "HomogeneousPoly2") -> "HomogeneousPoly2":
         return HomogeneousPoly2(self.degree + other.degree, tuple(_mul(self.coeffs, other.coeffs)))
 
-    def factor(self) -> tuple[Fraction, list[tuple["HomogeneousPoly2", int]]]:
-        """Factor into canonical irreducible forms with exponents.
-
-        Powers of s and of u split off first; the remainder dehomogenizes to
-        a univariate polynomial with nonzero constant term and full degree,
-        which is factored over Q and homogenized back."""
-        if self.is_zero:
-            raise DomainError("cannot factor the zero form")
-        sval, uval, core = _split(self)
-        out: list[tuple[HomogeneousPoly2, int]] = []
-        if sval:
-            out.append((HomogeneousPoly2.variable("s"), sval))
-        if uval:
-            out.append((HomogeneousPoly2.variable("u"), uval))
-        content, factors = factor_rational(core)
-        out.extend((HomogeneousPoly2(len(irr) - 1, irr), e) for irr, e in factors)
-        out.sort(key=lambda fe: (fe[0].degree, fe[0].coeffs))
-        return content, out
-
     def __str__(self) -> str:
         return render_poly2(self)
 
@@ -599,6 +627,49 @@ def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
     coefficients are those of form / (s^sval u^uval), lowest s-power first."""
     nonzero = [i for i, c in enumerate(form.coeffs) if c]
     return nonzero[0], form.degree - nonzero[-1], form.coeffs[nonzero[0] : nonzero[-1] + 1]
+
+
+def squarefree_parts(form: HomogeneousPoly2) -> tuple[int, int, list[tuple[IPoly, int]]]:
+    """(s-valuation, u-valuation, squarefree parts with multiplicities) of a
+    nonzero form, the parts those of its integer core: none for a constant
+    core, the core itself for a linear one, and Yun's otherwise."""
+    sval, uval, core = _split(form)
+    if len(core) == 2:
+        return sval, uval, [(content_primitive(core)[1], 1)]
+    return sval, uval, squarefree_decomposition(core) if len(core) > 2 else []
+
+
+def _common_factor(a: IPoly, b: IPoly) -> IPoly:
+    """gcd of two primitive squarefree polynomials of degree >= 1: a linear
+    one is irreducible, so it is the gcd if it divides the other, which for
+    two linear ones means they are equal, and 1 otherwise."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 2:
+        return a if (a == b if len(b) == 2 else _divide(b, a) is not None) else (1,)
+    return _gcd(a, b)
+
+
+def coprime_basis(parts: Iterable[tuple[IPoly, dict]]) -> list[tuple[IPoly, dict]]:
+    """Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
+    of primitive squarefree polynomials tagged with dicts: pairwise coprime
+    pieces, each tagged with the union of the tags of the parts it divides.
+    A part meets each piece b once: g = gcd(b, f), for f what is left of the
+    part, becomes a piece and so does b / g, both coprime to f / g as b is
+    squarefree."""
+    basis: list[tuple[IPoly, dict]] = []
+    for f, tag in parts:
+        refined = []
+        for b, btag in basis:
+            if len(f) > 1 and len(g := _common_factor(b, f)) > 1:
+                refined.append((g, btag | tag))
+                b, f = _divide(b, g), _divide(f, g)
+            if len(b) > 1:
+                refined.append((b, btag))
+        if len(f) > 1:
+            refined.append((f, tag))
+        basis = refined
+    return basis
 
 
 def poly2_gcd_parts(forms: Sequence[HomogeneousPoly2]) -> tuple[int, int, IPoly]:

@@ -8,11 +8,14 @@ cuspidal tangent line x1 = 0.
 
 from fractions import Fraction
 from math import lcm
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from base_point_reference import check_one_gcd, check_parametrization
+from cross_checks import contact_orders_by_component
+from orbpairs import curverestrict
 from orbpairs.curveclass import canonical_degree
 from orbpairs.curverestrict import (
     ParamPlaneCurve,
@@ -249,6 +252,103 @@ class TestContactOrders:
     def test_duplicate_labels_rejected(self):
         with pytest.raises(DomainError):
             contact_orders(CONIC_PARAM, [comp("L", X0, 2), comp("L", X1, 2)])
+
+
+# factors of the components' forms: lines, an irreducible and a reducible
+# quadratic, an irreducible cubic, and lines whose pullbacks along the test
+# curves vanish at s = 0 or at u = 0, so that a product of them only has a
+# constant core
+FACTOR_POOL = [
+    {(1, 0, 0): 1, (0, 1, 0): -1},
+    {(1, 0, 0): 1, (0, 1, 0): 2},
+    {(1, 0, 0): 2, (0, 1, 0): -3},
+    {(2, 0, 0): 1, (0, 2, 0): 1},
+    {(2, 0, 0): 1, (0, 2, 0): -1},
+    {(3, 0, 0): 1, (0, 3, 0): -2},
+    {(1, 0, 0): 1},
+    {(0, 1, 0): 1},
+    {(0, 0, 1): 1},
+    {(1, 0, 0): -1, (0, 0, 1): 1},
+]
+# the line (s : u : s + u), the conic (s^2 : s*u : u^2), and the cuspidal cubic
+BASIS_CURVES = [
+    ParamPlaneCurve(S, U, HomogeneousPoly2(1, (Fraction(1), Fraction(1)))),
+    CONIC_PARAM,
+    CUSPIDAL_CUBIC,
+]
+BASIS_MULTS = [2, 3, 4, 6, Fraction(3, 2), Fraction(5, 3), "inf"]
+
+
+def form_product(factors, scale):
+    terms = {(0, 0, 0): Fraction(scale)}
+    for factor in factors:
+        product = {}
+        for (a, b, c), x in terms.items():
+            for (d, e, f), y in factor.items():
+                key = (a + d, b + e, c + f)
+                product[key] = product.get(key, 0) + x * y
+        terms = product
+    return HomogeneousPoly3.from_dict(sum(next(iter(terms))), terms)
+
+
+@st.composite
+def basis_cases(draw):
+    """(curve, arrangement): one to four components, each a rational
+    multiple of a product of one to four factors drawn from a small pool,
+    so factors repeat within a component and are shared across them."""
+    curve = draw(st.sampled_from(BASIS_CURVES))
+    arrangement = []
+    for i in range(draw(st.integers(1, 4))):
+        factors = draw(st.lists(st.sampled_from(FACTOR_POOL), min_size=1, max_size=4))
+        scale = draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+        mult = draw(st.sampled_from(BASIS_MULTS))
+        arrangement.append(comp(f"C{i}", form_product(factors, scale), mult))
+    return curve, arrangement
+
+
+def integral(component):
+    m = component.multiplicity
+    if m.is_integral:
+        return component
+    return PlaneDivisorComponent(component.label, component.form, Multiplicity(m.finite_value().numerator))
+
+
+class TestCoprimeBasis:
+    """contact_orders factors each piece of one coprime basis of all the
+    pullbacks' squarefree parts once; the oracle factors every pullback on
+    its own.  Records and both restrictions agree."""
+
+    @given(basis_cases())
+    @settings(max_examples=300, deadline=None)
+    @example((BASIS_CURVES[0], [  # s^24 - u^24 and s^36 - u^36 share s^12 - u^12
+        comp("A", HomogeneousPoly3.from_dict(24, {(24, 0, 0): 1, (0, 24, 0): -1}), 2),
+        comp("B", HomogeneousPoly3.from_dict(36, {(36, 0, 0): 1, (0, 36, 0): -1}), 3),
+    ]))
+    @example((BASIS_CURVES[0], [  # only s, u and constant cores
+        comp("A", form_product([FACTOR_POOL[6], FACTOR_POOL[6], FACTOR_POOL[7]], 2), 2),
+        comp("B", form_product([FACTOR_POOL[7], FACTOR_POOL[9]], -1), "inf"),
+    ]))
+    @example((BASIS_CURVES[1], [  # a repeated quadratic, shared with a square
+        comp("A", form_product([FACTOR_POOL[3]] * 3, 1), 3),
+        comp("B", form_product([FACTOR_POOL[3], FACTOR_POOL[3], FACTOR_POOL[4]], 1), 2),
+        comp("C", form_product([FACTOR_POOL[0], FACTOR_POOL[4]], 1), Fraction(3, 2)),
+    ]))
+    @example((BASIS_CURVES[0], [  # linear pieces only, equal and not
+        comp("A", form_product([FACTOR_POOL[0]], 1), 2),
+        comp("B", form_product([FACTOR_POOL[1], FACTOR_POOL[0]], 1), 3),
+        comp("C", form_product([FACTOR_POOL[8]], 1), 4),
+    ]))
+    def test_matches_per_component_factoring(self, case):
+        curve, arrangement = case
+        records = contact_orders(curve, arrangement)
+        assert records == contact_orders_by_component(curve, arrangement)
+        whole = [integral(c) for c in arrangement]
+        expected = {}
+        with mock.patch.object(curverestrict, "contact_orders", contact_orders_by_component):
+            for variant, components in (("Z", whole), ("Q", arrangement)):
+                expected[variant] = restrict(curve, components, variant)
+        for variant, components in (("Z", whole), ("Q", arrangement)):
+            assert restrict(curve, components, variant) == expected[variant]
 
 
 class TestRestrictDivisible:

@@ -26,13 +26,14 @@ from orbpairs.polynomials import (
     gf_divmod,
     gf_gcd,
     gf_inverse_mod,
+    gf_rem,
     poly2_gcd,
     qdeg,
     render_poly2,
     render_poly3,
     squarefree_decomposition,
 )
-from cross_checks import gf_pow_mod
+from cross_checks import factor_form, gf_pow_mod, reference_divmod
 from text_layer_reference import render_poly2 as reference_render_poly2
 from text_layer_reference import render_poly3 as reference_render_poly3
 from timeguard import time_guard
@@ -94,6 +95,16 @@ def swinnerton_dyer(primes):
                 [u + v for u, v in zip_longest(a, [0] + b, fillvalue=0)],
             )
         poly = _sub(_mul(a, a), [q * v for v in _mul(b, b)])
+    return poly
+
+
+def cyclotomic(n):
+    """The n-th cyclotomic polynomial: x^n - 1 over those of n's proper
+    divisors."""
+    poly = (-1,) + (0,) * (n - 1) + (1,)
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divide(poly, cyclotomic(d))
     return poly
 
 
@@ -323,6 +334,40 @@ class TestFactorRational:
         ]
         assert expand(factors) == poly
 
+    def test_x210_minus_1(self):
+        # 60 modular factors at the first usable prime, 11, and 28 at 17,
+        # the fewest of the next four usable primes
+        poly = qpoly([-1] + [0] * 209 + [1])
+        with time_guard(5):
+            _, factors = factor_rational(poly)
+        divisors = [d for d in range(1, 211) if 210 % d == 0]
+        assert len(divisors) == 16
+        assert sorted(factors) == sorted((cyclotomic(d), 1) for d in divisors)
+
+    def test_primes_switch_only_past_20_modular_factors(self, monkeypatch):
+        calls, counted = [], []
+        berlekamp, distinct_degree = polynomials.gf_berlekamp, polynomials._gf_distinct_degree
+
+        def spy(f, p):
+            factors = berlekamp(f, p)
+            calls.append((p, len(factors)))
+            return factors
+
+        monkeypatch.setattr(polynomials, "gf_berlekamp", spy)
+        monkeypatch.setattr(
+            polynomials,
+            "_gf_distinct_degree",
+            lambda f, p: counted.append(p) or distinct_degree(f, p),
+        )
+        # x^48 - 1 has exactly 20 factors at 5, its first usable prime
+        factor_rational(qpoly([-1] + [0] * 47 + [1]))
+        assert (calls, counted) == ([(5, 20)], [5])
+        calls.clear()
+        counted.clear()
+        factor_rational(qpoly([-1] + [0] * 209 + [1]))
+        # counted at the next four usable primes, then factored at 17
+        assert (calls, counted) == ([(11, 60), (17, 28)], [11, 13, 17, 19, 23, 17])
+
     def test_swinnerton_dyer_32(self):
         # irreducible over Q, but a product of factors of degree <= 2 modulo
         # every prime: every subset up to half the modular factors is tried
@@ -550,6 +595,57 @@ class TestFactorRational:
 INT_POLYS = st.lists(st.integers(-40, 40), max_size=6).map(_trim)
 
 
+# primes, prime powers (where the divisor's leading coefficient must be a
+# unit) and one modulus too wide for packed slots
+DIVISION_MODULI = [2, 3, 5, 7, 101, 9, 27, 125, 3**40, 2**61 - 1]
+
+
+@st.composite
+def divisions(draw):
+    """(f, g, m): entries unreduced and possibly negative, a dividend that
+    may be empty, zero or shorter than the divisor, and a divisor of any
+    length >= 1 whose leading coefficient is a unit mod m, monic or not."""
+    m = draw(st.sampled_from(DIVISION_MODULI))
+    entries = st.integers(-3 * m, 3 * m)
+    f = draw(st.one_of(
+        st.lists(entries, max_size=12),
+        st.lists(st.just(0), max_size=4),
+        st.lists(st.integers(-2, 2), max_size=12),
+    ))
+    g = draw(st.lists(entries, max_size=6))
+    lead = draw(st.one_of(st.just(1), st.just(m + 1), entries))
+    assume(math.gcd(lead, m) == 1)
+    return tuple(f), tuple(g) + (lead,), m
+
+
+class TestDivisionKernel:
+    """`gf_rem` and `gf_divmod` share one loop; checked against schoolbook
+    long division with every entry reduced."""
+
+    @given(divisions())
+    @settings(max_examples=400, deadline=None)
+    @example(((), (3, 1), 5))
+    @example(((0, 0, 0), (2, 1), 7))
+    @example(((4,), (1, 2, 1), 5))
+    @example(((1, 2, 3), (3,), 7))  # a constant divisor
+    @example(((-7, 12, -30, 9), (-1, 4, 10), 9))  # unreduced, non-monic unit
+    @example(((1, 0, 0, 0, 1), (2, 0, 3**40 + 1), 3**40))
+    def test_matches_long_division(self, division):
+        f, g, m = division
+        quo, rem = gf_divmod(f, g, m)
+        assert gf_rem(f, g, m) == rem
+        assert (quo, rem) == reference_divmod(f, g, m)
+        for poly in (quo, rem):
+            assert all(0 <= c < m for c in poly)
+            assert not poly or poly[-1]
+        assert len(rem) < len(g)
+        assert _trim(_sub(_sub(f, _mul(quo, g)), rem), m) == ()
+
+    def test_zero_divisor_rejected(self):
+        with pytest.raises(ZeroDivisionError):
+            gf_rem((1, 2), (), 5)
+
+
 class TestLinearFactors:
     """A linear polynomial is its own irreducible factor: factor_rational
     returns its content and primitive part without the squarefree and
@@ -639,6 +735,9 @@ class TestSquarefree:
             # -3/4 x^3 (x+1)^2: content and a negative leading coefficient
             (qscale(expand([((0, 1), 3), ((1, 1), 2)]), Fraction(-3, 4)),
              [((1, 1), 2), ((0, 1), 3)]),
+            # (3x+1)^2 (x+2): modulo 3 the square loses its degree and the
+            # rest is squarefree, so 3 cannot decide it
+            (expand([((1, 3), 2), ((2, 1), 1)]), [((2, 1), 1), ((1, 3), 2)]),
         ]
         for poly, expected in cases:
             parts = squarefree_decomposition(poly)
@@ -646,6 +745,11 @@ class TestSquarefree:
 
     def test_squarefree_input(self):
         assert squarefree_decomposition(qpoly([-1, 0, 1])) == [((-1, 0, 1), 1)]
+        # squarefree, but not modulo 3, 5 or 7, or with a leading
+        # coefficient they all divide: decided by the derivative gcd
+        x105 = (-1,) + (0,) * 104 + (1,)
+        assert squarefree_decomposition(qpoly(x105)) == [(x105, 1)]
+        assert squarefree_decomposition(qpoly([-1, 0, 105])) == [((-1, 0, 105), 1)]
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5), st.integers(1, 3))
     @settings(max_examples=60)
@@ -669,10 +773,11 @@ class TestSelfChecks:
             factor_rational(qpoly([-1, 0, 0, 0, 0, 0, 1]))
 
     def test_inexact_squarefree_division_is_caught(self, monkeypatch):
-        # a "gcd" that does not divide x^2 + 1
+        # a "gcd" that does not divide (x^2 + 1)^2; a squarefree input would
+        # be decided modulo 3 without any gcd
         monkeypatch.setattr(polynomials, "_gcd", lambda f, g: (1, 1))
         with pytest.raises(SelfCheckError, match="inexact division in squarefree decomposition"):
-            squarefree_decomposition(qpoly([1, 0, 1]))
+            squarefree_decomposition(qpoly([1, 0, 2, 0, 1]))
 
 
 class TestHomogeneousForms:
@@ -683,7 +788,7 @@ class TestHomogeneousForms:
             .mul(HomogeneousPoly2.variable("u"))
             .mul(HomogeneousPoly2(1, (Fraction(-1), Fraction(1))))
         )
-        _, factors = form.factor()
+        _, factors = factor_form(form)
         as_strings = sorted((str(f), e) for f, e in factors)
         assert as_strings == [("s", 2), ("s-u", 1), ("u", 1)]
 
@@ -695,18 +800,18 @@ class TestHomogeneousForms:
             form = HomogeneousPoly2(d, tuple(coeffs))
             if form.is_zero:
                 continue
-            _, factors = form.factor()
+            _, factors = factor_form(form)
             assert sum(f.degree * e for f, e in factors) == d
 
     def test_factors_are_canonical(self):
         # -2/3 u - 4/3 s: the factor is primitive and positive at the top
         # s-power, the rational content goes to the unit
         form = HomogeneousPoly2(1, (Fraction(-2, 3), Fraction(-4, 3)))
-        assert form.factor() == (Fraction(-2, 3), [(HomogeneousPoly2(1, (1, 2)), 1)])
+        assert factor_form(form) == (Fraction(-2, 3), [(HomogeneousPoly2(1, (1, 2)), 1)])
         # a monomial's core is a constant, which factor_rational returns as
         # the content
         s = HomogeneousPoly2.variable("s")
-        assert HomogeneousPoly2(3, (0, 0, 0, 5)).factor() == (Fraction(5), [(s, 3)])
+        assert factor_form(HomogeneousPoly2(3, (0, 0, 0, 5))) == (Fraction(5), [(s, 3)])
 
     def test_gcd(self):
         s = HomogeneousPoly2.variable("s")
@@ -726,7 +831,7 @@ class TestHomogeneousForms:
     @settings(max_examples=60, deadline=None)
     def test_gcd_matches_factorizations(self, a, b, c):
         # gcd(a*c, b*c) against the min exponents of the shared canonical
-        # factors that factor() finds in both products
+        # factors that factor_form finds in both products
         def form(sval, uval, core):
             coeffs = (0,) * sval + tuple(core) + (0,) * uval
             return HomogeneousPoly2(len(coeffs) - 1, coeffs)
@@ -735,7 +840,7 @@ class TestHomogeneousForms:
         if any(f.is_zero for f in forms):
             return
         ac, bc = forms[0].mul(forms[2]), forms[1].mul(forms[2])
-        exponents = [dict(product.factor()[1]) for product in (ac, bc)]
+        exponents = [dict(factor_form(product)[1]) for product in (ac, bc)]
         expected = HomogeneousPoly2(0, (1,))
         for factor, e in exponents[0].items():
             expected = expected.mul(power(factor, min(e, exponents[1].get(factor, 0))))
