@@ -44,6 +44,7 @@ from .curveclass import Kappa
 from .orbcore import TOO_LONG_RESULT, DomainError, Multiplicity, OrbifoldDivisor
 
 if TYPE_CHECKING:
+    from .curverestrict import ParamPlaneCurve, PlaneDivisorComponent
     from .specparse import ParseResult, SpecDocument
 
 Result = tuple[dict, dict, Iterable[str]]
@@ -129,15 +130,16 @@ def cmd_morphism(args: argparse.Namespace, doc: SpecDocument) -> Result:
     return {"mode": report.mode, "ok": report.ok}, {"name": args.name, "pairs": pairs}, lines
 
 
-def _restriction(args: argparse.Namespace, doc: SpecDocument) -> curveclass.CurveOrbifold:
-    from . import curverestrict
+def _restriction(
+    args: argparse.Namespace, doc: SpecDocument
+) -> tuple[ParamPlaneCurve, list[PlaneDivisorComponent]]:
     curve = _named(doc, "paramcurve", args.name)
-    arrangement = _named(doc, "plane", args.against).divisor_components()
-    return curverestrict.restrict(curve, arrangement, args.variant)
+    return curve, _named(doc, "plane", args.against).divisor_components()
 
 
 def cmd_restrict(args: argparse.Namespace, doc: SpecDocument) -> Result:
-    restricted = _restriction(args, doc)
+    from . import curverestrict
+    restricted = curverestrict.restrict(*_restriction(args, doc), args.variant)
     shown = {
         "variant": args.variant,
         "marks": restricted.marks,
@@ -149,7 +151,8 @@ def cmd_restrict(args: argparse.Namespace, doc: SpecDocument) -> Result:
 
 
 def cmd_rational(args: argparse.Namespace, doc: SpecDocument) -> Result:
-    rational = curveclass.is_rational_orbifold_curve(_restriction(args, doc))
+    from . import curverestrict
+    rational = curverestrict.is_delta_rational(*_restriction(args, doc), args.variant)
     shown = {"variant": args.variant, "rational": rational}
     return shown, {"name": args.name, "against": args.against}, []
 

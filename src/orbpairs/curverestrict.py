@@ -20,7 +20,7 @@ from fractions import Fraction
 from typing import Literal, Sequence
 
 from ._value import dataclass
-from .curveclass import CurveOrbifold, Kappa, kappa_curve
+from .curveclass import CurveOrbifold, is_rational_orbifold_curve
 from .orbcore import (
     INFINITY,
     MAX_COEFF_DIGITS,
@@ -146,10 +146,9 @@ def contact_orders(
             if exponent:
                 by_point.setdefault(point, {})[comp.label] = exponent
         tagged += [(part, {comp.label: exponent}) for part, exponent in parts]
-    # a piece is squarefree, so each of its factors carries its exponents,
-    # and a linear piece is its own factor
+    # a piece is squarefree, so each of its factors carries its exponents
     for piece, contacts in coprime_basis(tagged):
-        for factor, _ in factor_rational(piece)[1] if len(piece) > 2 else [(piece, 1)]:
+        for factor, _ in factor_rational(piece)[1]:
             by_point[HomogeneousPoly2(len(factor) - 1, factor)] = contacts
     records = [
         ContactRecord(point, tuple(sorted(contacts.items())))
@@ -217,5 +216,6 @@ def is_delta_rational(
     arrangement: Sequence[PlaneDivisorComponent],
     variant: RestrictVariant = "Z",
 ) -> bool:
-    """True iff the chosen restriction has negative canonical degree."""
-    return kappa_curve(restrict(curve, arrangement, variant)) is Kappa.MINUS_INFINITY
+    """True iff the chosen restriction is a rational orbifold curve: genus 0,
+    as every restriction is, with negative canonical degree."""
+    return is_rational_orbifold_curve(restrict(curve, arrangement, variant))

@@ -23,8 +23,10 @@ factors of half the degree, and recombination over subsets of at most half
 the degree.  A subset must pass a constant-term divisibility test and a
 root bound on its next-to-top coefficient, both read from the lifted
 factors, before its product is built and confirmed by exact integer trial
-division.  A linear polynomial is its own factor; every other factorization
-is verified by multiplying back before it is returned.  Division modulo p
+division.  Every factorization is verified by multiplying back before it is
+returned.  The degree-1 case is decided in the kernels alone: `_gcd` trial
+divides by a linear operand, and `squarefree_decomposition` and
+`_zassenhaus` return a linear polynomial as it is.  Division modulo p
 or p^k is one loop, which the gcds, the residue rings and the Hensel steps
 run for the remainder alone.  The squarefree parts of several forms refine
 into one coprime basis, so a factor they share is factored once.
@@ -128,17 +130,20 @@ def _divide(f: IPoly, g: IPoly) -> IPoly | None:
 
 
 def _gcd(f: IPoly, g: IPoly) -> IPoly:
-    """Primitive gcd over Z by the heuristic gcd (Char, Geddes and Gonnet,
-    J. Symbolic Comput. 7, 1989): a candidate is read from the symmetric
+    """Primitive gcd over Z.  A linear operand is irreducible, so one trial
+    division decides it; otherwise the heuristic gcd (Char, Geddes and Gonnet,
+    J. Symbolic Comput. 7, 1989) runs: a candidate is read from the symmetric
     base-xi digits of the integer gcd of the primitive parts' values at xi.
     With xi >= 2 * min(|a|oo, |b|oo) + 2 a common factor r the candidate
     missed has |r(xi)| > xi / 2 and divides its content, which is at most
     xi / 2: so a candidate whose primitive part divides both is the gcd.
     Otherwise xi grows; past twice the gcd's height times the cofactors'
     resultant the digits are an integer multiple of the gcd."""
-    a, b = _primitive(f), _primitive(g)
-    if len(a) < 2 or len(b) < 2:  # a zero or constant operand
-        return (1,) if a and b else a or b
+    a, b = sorted((_primitive(f), _primitive(g)), key=len)
+    if len(a) < 2:  # a zero or constant operand
+        return (1,) if a else b
+    if len(a) == 2:  # a linear operand is irreducible: the gcd if it divides the other
+        return a if _divide(b, a) is not None else (1,)
     xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
     while True:
         h = math.gcd(_evaluate(a, xi), _evaluate(b, xi))
@@ -169,9 +174,10 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
         raise DomainError("squarefree decomposition needs degree >= 1")
     out: list[tuple[IPoly, int]] = []
     b = content_primitive(f)[1]
-    # a factor repeated over Z stays repeated modulo a prime that keeps the
-    # degree, so b squarefree modulo one such prime is squarefree
-    if any(_squarefree_mod(b, p) for p in (3, 5, 7)):
+    # a linear b is squarefree; a factor repeated over Z stays repeated
+    # modulo a prime that keeps the degree, so b squarefree modulo one such
+    # prime is squarefree
+    if len(b) == 2 or any(_squarefree_mod(b, p) for p in (3, 5, 7)):
         return [(b, 1)]
     d = _deriv(b)
     i = 0
@@ -556,15 +562,14 @@ def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
     """Factor a nonzero univariate polynomial over Q.
 
     Returns (content, factors) with primitive integer irreducible factors of
-    positive leading coefficient and their exponents; past degree 1 they are
-    verified by expanding the product back."""
+    positive leading coefficient and their exponents, verified by expanding
+    the product back.  A linear polynomial needs no rule of its own here:
+    `squarefree_decomposition` and `_zassenhaus` return it as it is."""
     if not f:
         raise DomainError("cannot factor the zero polynomial")
     if qdeg(f) == 0:
         return f[0], []
     content, prim = content_primitive(f)
-    if len(prim) == 2:  # a linear polynomial is its own irreducible factor
-        return content, [(prim, 1)]
     factors = [
         (irr, mult) for part, mult in squarefree_decomposition(prim) for irr in _zassenhaus(part)
     ]
@@ -631,23 +636,10 @@ def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
 
 def squarefree_parts(form: HomogeneousPoly2) -> tuple[int, int, list[tuple[IPoly, int]]]:
     """(s-valuation, u-valuation, squarefree parts with multiplicities) of a
-    nonzero form, the parts those of its integer core: none for a constant
-    core, the core itself for a linear one, and Yun's otherwise."""
+    nonzero form: Yun's parts of its integer core, none for a constant core
+    (`squarefree_decomposition` returns a linear core as it is)."""
     sval, uval, core = _split(form)
-    if len(core) == 2:
-        return sval, uval, [(content_primitive(core)[1], 1)]
-    return sval, uval, squarefree_decomposition(core) if len(core) > 2 else []
-
-
-def _common_factor(a: IPoly, b: IPoly) -> IPoly:
-    """gcd of two primitive squarefree polynomials of degree >= 1: a linear
-    one is irreducible, so it is the gcd if it divides the other, which for
-    two linear ones means they are equal, and 1 otherwise."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 2:
-        return a if (a == b if len(b) == 2 else _divide(b, a) is not None) else (1,)
-    return _gcd(a, b)
+    return sval, uval, squarefree_decomposition(core) if len(core) > 1 else []
 
 
 def coprime_basis(parts: Iterable[tuple[IPoly, dict]]) -> list[tuple[IPoly, dict]]:
@@ -661,7 +653,7 @@ def coprime_basis(parts: Iterable[tuple[IPoly, dict]]) -> list[tuple[IPoly, dict
     for f, tag in parts:
         refined = []
         for b, btag in basis:
-            if len(f) > 1 and len(g := _common_factor(b, f)) > 1:
+            if len(f) > 1 and len(g := _gcd(b, f)) > 1:
                 refined.append((g, btag | tag))
                 b, f = _divide(b, g), _divide(f, g)
             if len(b) > 1:

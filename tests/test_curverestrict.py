@@ -8,6 +8,7 @@ cuspidal tangent line x1 = 0.
 
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -15,7 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from base_point_reference import check_one_gcd, check_parametrization
 from cross_checks import contact_orders_by_component
-from orbpairs import curverestrict
+from orbpairs import curverestrict, polynomials
+from orbpairs.cli import main
 from orbpairs.curveclass import canonical_degree
 from orbpairs.curverestrict import (
     ParamPlaneCurve,
@@ -338,6 +340,10 @@ class TestCoprimeBasis:
         comp("B", form_product([FACTOR_POOL[1], FACTOR_POOL[0]], 1), 3),
         comp("C", form_product([FACTOR_POOL[8]], 1), 4),
     ]))
+    @example((BASIS_CURVES[0], [  # a linear piece s - u divides the piece s^2 - u^2
+        comp("A", form_product([FACTOR_POOL[0]], 1), 2),
+        comp("B", form_product([FACTOR_POOL[4]], 1), 3),
+    ]))
     def test_matches_per_component_factoring(self, case):
         curve, arrangement = case
         records = contact_orders(curve, arrangement)
@@ -349,6 +355,40 @@ class TestCoprimeBasis:
                 expected[variant] = restrict(curve, components, variant)
         for variant, components in (("Z", whole), ("Q", arrangement)):
             assert restrict(curve, components, variant) == expected[variant]
+
+
+class TestLineDataTakesNoHeuristicGcd:
+    """_gcd decides a linear operand by one trial division, so linear data
+    never reaches the heuristic gcd, the only caller of _evaluate."""
+
+    # the line (s+u : s-u : s+2u): its coordinates' cores are all linear
+    COORDS = tuple(HomogeneousPoly2(1, (Fraction(a), Fraction(1))) for a in (1, -1, 2))
+    SPECS = Path(__file__).resolve().parent.parent / "specs"
+
+    def spy(self):
+        return mock.patch.object(polynomials, "_evaluate", wraps=polynomials._evaluate)
+
+    def test_base_point_check(self):
+        with self.spy() as evaluate:
+            ParamPlaneCurve(*self.COORDS)
+        assert evaluate.call_count == 0
+
+    def test_contact_orders_against_three_lines(self):
+        curve = ParamPlaneCurve(*self.COORDS)
+        arrangement = [comp("A", X0, 2), comp("B", X1, 3), comp("C", SUM_LINE, 5)]
+        with self.spy() as evaluate:
+            records = contact_orders(curve, arrangement)
+        assert evaluate.call_count == 0
+        assert [str(r.point) for r in records] == ["s-u", "s+u", "3*s+2*u"]
+
+    @pytest.mark.parametrize("argv", [
+        ["restrict", "node234", "--against", "lines234"],
+        ["rational", "highnode", "--against", "lines2245"],
+    ])
+    def test_golden_line_commands(self, argv, capsys):
+        with self.spy() as evaluate:
+            assert main(["-f", str(self.SPECS / "line_arrangements.orb"), *argv]) == 0
+        assert evaluate.call_count == 0
 
 
 class TestRestrictDivisible:

@@ -647,9 +647,10 @@ class TestDivisionKernel:
 
 
 class TestLinearFactors:
-    """A linear polynomial is its own irreducible factor: factor_rational
-    returns its content and primitive part without the squarefree and
-    modular stages, as the reference factorization does with them."""
+    """A linear polynomial is its own irreducible factor: the kernels
+    squarefree_decomposition and _zassenhaus return it as it is, so
+    factor_rational returns its content and primitive part, multiplied back
+    like every factorization, as the reference factorization does."""
 
     @pytest.mark.parametrize("coeffs,content,primitive", [
         ((-3, 2), Fraction(1), (-3, 2)),
@@ -714,6 +715,11 @@ class TestGcd:
     @example((3, 2), (-1, -2), (2, 1))  # the digits at the first xi are not the gcd
     @example((2, -1), (-4, 5, 2), (1,))  # a common root at 2: xi = 3 reads a wrong gcd, 6 does not
     @example((-6,), (4, -4, -3), (0, 2, -1))  # the first candidate divides one operand only
+    @example((1, 2), (1,), (3, 0, 1))  # a linear operand that divides a cubic
+    @example((1,), (2, -1), (1, 0, 0, 1))  # a linear operand that does not divide a cubic
+    @example((1,), (2, -4), (-1, 2))  # linear operands equal up to content and sign
+    @example((1,), (3, 5), ())  # a linear operand against zero
+    @example((1,), (3, 5), (-6,))  # a linear operand against a constant
     @example(  # 40-bit coefficients
         (1099511627779, -549755813881, 5), (-34359738368, 11, 3486784401), (678223072849, -1, 2199023255552, 9)
     )
