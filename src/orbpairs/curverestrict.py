@@ -171,12 +171,13 @@ def _point_labels(record: ContactRecord) -> list[str]:
     return [f"{base}#{i}" for i in range(1, record.orbit_size + 1)]
 
 
-def restrict(
+def _marked_records(
     curve: ParamPlaneCurve,
     arrangement: Sequence[PlaneDivisorComponent],
-    variant: RestrictVariant = "Z",
-) -> CurveOrbifold:
-    """The orbifold divisor the arrangement induces on the parameter line.
+    variant: RestrictVariant,
+) -> list[tuple[ContactRecord, Multiplicity]]:
+    """Each contact record whose mark under the chosen restriction is not 1,
+    with that mark.
 
     Z (divisible): the smallest integral divisor making the parametrization
     a divisible orbifold morphism, lcm_j of m_j / gcd(m_j, t_j) at each
@@ -191,7 +192,7 @@ def restrict(
                 f"component {comp.label!r} has {comp.multiplicity}"
             )
     mults = {comp.label: comp.multiplicity for comp in arrangement}
-    entries: list[tuple[str, Multiplicity]] = []
+    marked: list[tuple[ContactRecord, Multiplicity]] = []
     for record in contact_orders(curve, arrangement):
         parts: list[Multiplicity] = []
         for label, t in record.contacts:
@@ -204,10 +205,20 @@ def restrict(
             else:
                 parts.append(Multiplicity(max(Fraction(1), m.finite_value() / t)))
         point_mult = mult_lcm(parts) if variant == "Z" else max(parts)
-        if point_mult.is_one:
-            continue
-        for label in _point_labels(record):
-            entries.append((label, point_mult))
+        if not point_mult.is_one:
+            marked.append((record, point_mult))
+    return marked
+
+
+def restrict(
+    curve: ParamPlaneCurve,
+    arrangement: Sequence[PlaneDivisorComponent],
+    variant: RestrictVariant = "Z",
+) -> CurveOrbifold:
+    """The orbifold divisor the arrangement induces on the parameter line,
+    one labeled mark per point of each marked Galois orbit."""
+    marked = _marked_records(curve, arrangement, variant)
+    entries = [(label, mark) for record, mark in marked for label in _point_labels(record)]
     return CurveOrbifold(0, OrbifoldDivisor(entries))
 
 
@@ -217,5 +228,8 @@ def is_delta_rational(
     variant: RestrictVariant = "Z",
 ) -> bool:
     """True iff the chosen restriction is a rational orbifold curve: genus 0,
-    as every restriction is, with negative canonical degree."""
-    return is_rational_orbifold_curve(restrict(curve, arrangement, variant))
+    as every restriction is, with negative canonical degree.  Its marks are
+    counted, one per point of each orbit, and never labeled."""
+    marked = _marked_records(curve, arrangement, variant)
+    marks = [mark for record, mark in marked for _ in range(record.orbit_size)]
+    return is_rational_orbifold_curve(CurveOrbifold.from_multiplicities(0, marks))

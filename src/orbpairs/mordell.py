@@ -17,7 +17,6 @@ import math
 from bisect import bisect_right
 
 from ._value import dataclass
-from .curveclass import CurveOrbifold, Kappa, kappa_curve
 from .orbcore import MAX_STEPS, DomainError, require_steps
 
 
@@ -265,12 +264,6 @@ def search_classical(
             if ok:
                 out.append(ClassicalWitness(alpha, beta, gamma))
     return out
-
-
-def is_general_type_triple(triple: OrbifoldP1Triple) -> bool:
-    """Exact test 1/p + 1/q + 1/r < 1 via the curve classifier."""
-    curve = CurveOrbifold.from_multiplicities(0, (triple.p, triple.q, triple.r))
-    return kappa_curve(curve) is Kappa.ONE
 
 
 def integer_nth_root(n: int, k: int) -> int:

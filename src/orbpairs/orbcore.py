@@ -257,10 +257,6 @@ class OrbifoldDivisor:
     def is_finite(self) -> bool:
         return all(m.is_finite for m in self._entries.values())
 
-    @property
-    def is_logarithmic(self) -> bool:
-        return all(m.is_infinite for m in self._entries.values())
-
     def sum_coefficients(self) -> Fraction:
         return sum((m.coefficient() for m in self._entries.values()), Fraction(0))
 

@@ -24,11 +24,11 @@ the degree.  A subset must pass a constant-term divisibility test and a
 root bound on its next-to-top coefficient, both read from the lifted
 factors, before its product is built and confirmed by exact integer trial
 division.  Every factorization is verified by multiplying back before it is
-returned.  The degree-1 case is decided in the kernels alone: `_gcd` trial
-divides by a linear operand, and `squarefree_decomposition` and
-`_zassenhaus` return a linear polynomial as it is.  Division modulo p
-or p^k is one loop, which the gcds, the residue rings and the Hensel steps
-run for the remainder alone.  The squarefree parts of several forms refine
+returned.  The degree-0 and degree-1 cases are decided in the kernels
+alone: `_gcd` trial divides by a linear operand, `squarefree_decomposition`
+gives a constant no parts, and it and `_zassenhaus` return a linear
+polynomial as it is.  Division modulo p or p^k is one loop, which the gcds,
+the residue rings and the Hensel steps run for the remainder alone.  The squarefree parts of several forms refine
 into one coprime basis, so a factor they share is factored once.
 """
 
@@ -169,16 +169,19 @@ def squarefree_decomposition(f: QPoly) -> list[tuple[IPoly, int]]:
     """Yun's algorithm over Z via derivative gcds.
 
     Returns pairwise-coprime primitive squarefree parts with multiplicities,
-    so that f is a constant times the product of part^multiplicity."""
-    if qdeg(f) < 1:
-        raise DomainError("squarefree decomposition needs degree >= 1")
-    out: list[tuple[IPoly, int]] = []
+    so that f is a constant times the product of part^multiplicity; a
+    nonzero constant has no parts."""
+    if not f:
+        raise DomainError("cannot decompose the zero polynomial")
     b = content_primitive(f)[1]
+    if len(b) == 1:
+        return []
     # a linear b is squarefree; a factor repeated over Z stays repeated
     # modulo a prime that keeps the degree, so b squarefree modulo one such
     # prime is squarefree
     if len(b) == 2 or any(_squarefree_mod(b, p) for p in (3, 5, 7)):
         return [(b, 1)]
+    out: list[tuple[IPoly, int]] = []
     d = _deriv(b)
     i = 0
     # step 0 divides out gcd(f, f'); step i >= 1 splits off the part of
@@ -563,12 +566,11 @@ def factor_rational(f: QPoly) -> tuple[Fraction, list[tuple[IPoly, int]]]:
 
     Returns (content, factors) with primitive integer irreducible factors of
     positive leading coefficient and their exponents, verified by expanding
-    the product back.  A linear polynomial needs no rule of its own here:
-    `squarefree_decomposition` and `_zassenhaus` return it as it is."""
+    the product back.  A constant or linear polynomial needs no rule of its
+    own here: `squarefree_decomposition` gives a constant no parts, and it
+    and `_zassenhaus` return a linear polynomial as it is."""
     if not f:
         raise DomainError("cannot factor the zero polynomial")
-    if qdeg(f) == 0:
-        return f[0], []
     content, prim = content_primitive(f)
     factors = [
         (irr, mult) for part, mult in squarefree_decomposition(prim) for irr in _zassenhaus(part)
@@ -636,10 +638,9 @@ def _split(form: HomogeneousPoly2) -> tuple[int, int, QPoly]:
 
 def squarefree_parts(form: HomogeneousPoly2) -> tuple[int, int, list[tuple[IPoly, int]]]:
     """(s-valuation, u-valuation, squarefree parts with multiplicities) of a
-    nonzero form: Yun's parts of its integer core, none for a constant core
-    (`squarefree_decomposition` returns a linear core as it is)."""
+    nonzero form: Yun's parts of its integer core."""
     sval, uval, core = _split(form)
-    return sval, uval, squarefree_decomposition(core) if len(core) > 1 else []
+    return sval, uval, squarefree_decomposition(core)
 
 
 def coprime_basis(parts: Iterable[tuple[IPoly, dict]]) -> list[tuple[IPoly, dict]]:

@@ -53,10 +53,6 @@ class MultiIndexJ:
             if not all(1 <= j <= self.p for j in s):
                 raise DomainError(f"subset {s} is not contained in 1..{self.p}")
 
-    @property
-    def n(self) -> int:
-        return len(self.subsets)
-
 
 def occupancy(j: MultiIndexJ) -> tuple[int, ...]:
     """k_j = number of subsets containing j; the k_j sum to N*q."""
@@ -85,37 +81,6 @@ def ceil_quotient(k: int, m: Multiplicity) -> int:
         return 0
     v = m.finite_value()  # m = a/b: ceil(k / m) = ceil(kb / a)
     return -(-k * v.denominator // v.numerator)
-
-
-@dataclass(frozen=True)
-class ExponentProfile:
-    occupancy: tuple[int, ...]
-    ceil_exponents: tuple[int, ...]
-    floor_exponents: tuple[int, ...]
-
-
-def generator_exponents(
-    k: Sequence[int], mults: Sequence[MultiplicityLike]
-) -> ExponentProfile:
-    """Both exponent vectors of a local generator: ceil(k_j / m_j) and
-    floor(k_j (1 - 1/m_j)).
-
-    Requires finite multiplicities.  For integral m the two normalizations
-    agree via floor(k(1-1/m)) = k - ceil(k/m), which is checked
-    (SelfCheckError on failure).
-    """
-    if len(k) != len(mults):
-        raise DomainError("occupancy vector and multiplicity vector differ in length")
-    ms = [as_multiplicity(m) for m in mults]
-    for m in ms:
-        if m.is_infinite:
-            raise DomainError("generator exponents require finite multiplicities")
-    ceils = tuple(ceil_quotient(kj, m) for kj, m in zip(k, ms))
-    floors = tuple(floor_coefficient_multiple(kj, m) for kj, m in zip(k, ms))
-    for kj, m, c, f in zip(k, ms, ceils, floors):
-        if m.is_integral and f != kj - c:
-            raise SelfCheckError(f"floor/ceil identity failed at k={kj}, m={m}")
-    return ExponentProfile(tuple(k), ceils, floors)
 
 
 def positive_floor_threshold(p: int, q: int, mults: Sequence[Multiplicity]) -> int:

@@ -18,7 +18,7 @@ from base_point_reference import check_one_gcd, check_parametrization
 from cross_checks import contact_orders_by_component
 from orbpairs import curverestrict, polynomials
 from orbpairs.cli import main
-from orbpairs.curveclass import canonical_degree
+from orbpairs.curveclass import canonical_degree, is_rational_orbifold_curve
 from orbpairs.curverestrict import (
     ParamPlaneCurve,
     PlaneDivisorComponent,
@@ -29,7 +29,9 @@ from orbpairs.curverestrict import (
 )
 from orbpairs.orbcore import INFINITY, DomainError, Multiplicity, divisor_leq
 from orbpairs.polynomials import HomogeneousPoly2, HomogeneousPoly3
+from orbpairs.specparse import parse
 
+SPECS = Path(__file__).resolve().parent.parent / "specs"
 S = HomogeneousPoly2.variable("s")
 U = HomogeneousPoly2.variable("u")
 ZERO1 = HomogeneousPoly2.zero(1)
@@ -357,13 +359,44 @@ class TestCoprimeBasis:
             assert restrict(curve, components, variant) == expected[variant]
 
 
+def spec_restrictions():
+    """Every paramcurve of a spec file against every plane there with forms."""
+    cases = []
+    for path in sorted(SPECS.glob("*.orb")):
+        doc = parse(path.read_text()).document
+        for plane_name, plane in doc.planes.items():
+            if plane.forms:
+                cases += [
+                    pytest.param(curve, plane.divisor_components(),
+                                 id=f"{path.stem}-{curve_name}-{plane_name}")
+                    for curve_name, curve in doc.paramcurves.items()
+                ]
+    return cases
+
+
+class TestRationalCountsMarks:
+    """is_delta_rational counts each orbit's marks without labeling its
+    points; the oracle is the rationality of the labeled restriction."""
+
+    @pytest.mark.parametrize("variant", ["Z", "Q"])
+    @pytest.mark.parametrize("curve,arrangement", spec_restrictions())
+    def test_matches_labeled_restriction(self, curve, arrangement, variant):
+        def outcome(decide):
+            try:
+                return decide(curve, arrangement, variant)
+            except DomainError as exc:
+                return f"DomainError: {exc}"
+
+        labeled = outcome(lambda *args: is_rational_orbifold_curve(restrict(*args)))
+        assert outcome(is_delta_rational) == labeled
+
+
 class TestLineDataTakesNoHeuristicGcd:
     """_gcd decides a linear operand by one trial division, so linear data
     never reaches the heuristic gcd, the only caller of _evaluate."""
 
     # the line (s+u : s-u : s+2u): its coordinates' cores are all linear
     COORDS = tuple(HomogeneousPoly2(1, (Fraction(a), Fraction(1))) for a in (1, -1, 2))
-    SPECS = Path(__file__).resolve().parent.parent / "specs"
 
     def spy(self):
         return mock.patch.object(polynomials, "_evaluate", wraps=polynomials._evaluate)
@@ -387,7 +420,7 @@ class TestLineDataTakesNoHeuristicGcd:
     ])
     def test_golden_line_commands(self, argv, capsys):
         with self.spy() as evaluate:
-            assert main(["-f", str(self.SPECS / "line_arrangements.orb"), *argv]) == 0
+            assert main(["-f", str(SPECS / "line_arrangements.orb"), *argv]) == 0
         assert evaluate.call_count == 0
 
 

@@ -11,7 +11,6 @@ from orbpairs.mordell import (
     enumerate_p_full,
     factorize,
     integer_nth_root,
-    is_general_type_triple,
     is_p_full,
     is_perfect_power,
     merge_point_lists,
@@ -296,11 +295,6 @@ class TestSearchClassical:
 
 
 class TestTripleClassification:
-    def test_examples(self):
-        assert is_general_type_triple(OrbifoldP1Triple(2, 3, 7))
-        assert not is_general_type_triple(OrbifoldP1Triple(2, 3, 5))
-        assert not is_general_type_triple(OrbifoldP1Triple(2, 3, 6))
-
     def test_validation(self):
         with pytest.raises(DomainError):
             OrbifoldP1Triple(1, 3, 7)

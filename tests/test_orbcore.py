@@ -103,8 +103,6 @@ class TestOrbifoldDivisor:
         assert not OrbifoldDivisor({"D": Fraction(3, 2)}).is_integral
         assert OrbifoldDivisor({"D": 2}).is_finite
         assert not OrbifoldDivisor({"D": INFINITY}).is_finite
-        assert OrbifoldDivisor({"D": INFINITY}).is_logarithmic
-        assert not OrbifoldDivisor({"D": 2, "E": INFINITY}).is_logarithmic
 
     def test_leq_examples(self):
         assert divisor_leq(OrbifoldDivisor({"D": 2}), OrbifoldDivisor({"D": 3}))

@@ -321,6 +321,12 @@ class TestFactorRational:
             _, factors = factor_rational(poly)
             assert sorted(factors) == sorted(expected), poly
 
+    @pytest.mark.parametrize("constant", [Fraction(7), Fraction(-4), Fraction(-3, 8), Fraction(5, 2)])
+    def test_constant_is_its_content(self, constant):
+        # squarefree_decomposition gives a constant no parts, so the general
+        # path returns (constant, []) and multiplies the empty product back
+        assert factor_rational((constant,)) == (constant, [])
+
     def test_x105_minus_1(self):
         # the core of s^105 - u^105: thousands of recombination candidates
         # pass the constant-term test (cyclotomic constant terms are +-1),
@@ -756,6 +762,12 @@ class TestSquarefree:
         x105 = (-1,) + (0,) * 104 + (1,)
         assert squarefree_decomposition(qpoly(x105)) == [(x105, 1)]
         assert squarefree_decomposition(qpoly([-1, 0, 105])) == [((-1, 0, 105), 1)]
+
+    def test_constant_has_no_parts(self):
+        for c in (1, -1, 6, Fraction(-2, 9)):
+            assert squarefree_decomposition((Fraction(c),)) == []
+        with pytest.raises(DomainError, match="zero polynomial"):
+            squarefree_decomposition(())
 
     @given(st.lists(st.integers(-5, 5), min_size=1, max_size=5), st.integers(1, 3))
     @settings(max_examples=60)

@@ -19,7 +19,6 @@ from orbpairs.symdiff import (
     check_positive_floor,
     check_relative_exponent_bounds,
     floor_coefficient_multiple,
-    generator_exponents,
     occupancy,
     positive_floor_threshold,
     relative_exponent,
@@ -49,22 +48,10 @@ class TestOccupancy:
 
 
 class TestGeneratorExponents:
-    def test_examples(self):
-        prof = generator_exponents([3], [2])
-        assert prof.ceil_exponents == (2,) and prof.floor_exponents == (1,)
-        prof = generator_exponents([0], [5])
-        assert prof.ceil_exponents == (0,) and prof.floor_exponents == (0,)
-        prof = generator_exponents([7], [3])
-        assert prof.ceil_exponents == (3,) and prof.floor_exponents == (4,)
-
     def test_rational_multiplicity_floor(self):
         assert floor_coefficient_multiple(5, Multiplicity(Fraction(5, 2))) == 3
         assert floor_coefficient_multiple(4, INFINITY) == 4
         assert ceil_quotient(4, INFINITY) == 0
-
-    def test_infinite_rejected(self):
-        with pytest.raises(DomainError):
-            generator_exponents([3], [INFINITY])
 
     def test_identity_exhaustive(self):
         assert check_floor_ceiling_identity(200, 50) == 201 * 50
@@ -437,7 +424,7 @@ class TestSelfChecksSurviveOptimize:
             report = symdiff.check_relative_exponent_bounds(6, 2, 4)
             print(f"optimize={sys.flags.optimize} ok={report.ok} checked={report.checked}")
             for name, check in [
-                ("generator", lambda: symdiff.generator_exponents([3], [2])),
+                ("relative", lambda: symdiff.relative_exponent(3, [1, 1, 1], 2, 2)),
                 ("familydim", lambda: planepairs.family_dim_report(
                     planepairs.PlaneArrangementPair([("L1", 1, 3), ("L2", 1, 3)]), 3)),
             ]:
@@ -460,6 +447,6 @@ class TestSelfChecksSurviveOptimize:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == [
-            "optimize=1", "ok=False", "checked=336", "generator=SelfCheckError", "familydim=SelfCheckError",
+            "optimize=1", "ok=False", "checked=336", "relative=SelfCheckError", "familydim=SelfCheckError",
             "budget=DomainError",
         ]

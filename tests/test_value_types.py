@@ -119,7 +119,7 @@ def _every_value_class():
     from orbpairs.specparse import (
         Diagnostic, ParseResult, PlaneDecl, SpecDocument, TwoStageDecl,
     )
-    from orbpairs.symdiff import BoundsReport, ExponentProfile, MultiIndexJ, PositiveFloorReport
+    from orbpairs.symdiff import BoundsReport, MultiIndexJ, PositiveFloorReport
 
     two = Multiplicity(2)
     fd = FibrationData({"D": [(2, 3)]})
@@ -152,7 +152,6 @@ def _every_value_class():
         lambda: line,
         lambda: Diagnostic(1, 2, "unexpected '}'"),
         lambda: MultiIndexJ(3, 2, ((2, 1), (1, 3))),
-        lambda: ExponentProfile((1, 2), (1, 1), (0, 1)),
         lambda: PositiveFloorReport(2, 1, (two, two), 1, (1, 2), 7, ()),
         lambda: BoundsReport(4, ()),
     ]
@@ -175,7 +174,7 @@ def _name(make):
 def test_every_value_class_is_listed():
     # _every_value_class has imported every domain module
     listed = {type(make()) for make in FROZEN + MUTABLE}
-    assert len(listed) == len(FROZEN) + len(MUTABLE) == 32
+    assert len(listed) == len(FROZEN) + len(MUTABLE) == 31
     found = {
         cls
         for name, module in sys.modules.items() if name.startswith("orbpairs.")
